@@ -83,6 +83,10 @@ def _flags_obj(cfg: RunConfig) -> dict:
         obj["epsilon"] = cfg.epsilon
     if cfg.ell_max:
         obj["ell_max"] = cfg.ell_max
+    if cfg.tol is not None:
+        obj["tol"] = cfg.tol
+    if cfg.nu_gaps:
+        obj["nu_gaps"] = True
     return obj
 
 
@@ -338,11 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _workers_from_env() -> int:
+    """Pool size from DIGRAPHON_THREADS: unset means 1, 0 means one per CPU."""
+    raw = os.environ.get("DIGRAPHON_THREADS", "1") or "1"
+    if not raw.strip().isdecimal():
+        raise ValueError(f"DIGRAPHON_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    workers = int(os.environ.get("DIGRAPHON_THREADS", "1") or "1")
-    if workers == 0:
-        workers = os.cpu_count() or 1
+    try:
+        workers = _workers_from_env()
+    except ValueError as exc:
+        _emit_error(exc)
+        return _EXIT_VALIDATION
     cfg = RunConfig(
         command=args.command,
         kernel_path=getattr(args, "kernel", None),

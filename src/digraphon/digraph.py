@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 # the a-priori bound n^ell stays below this; beyond it we refuse rather than
 # risk a silent wrap.
 _INT64_SAFE = 2**62
+# Integers below this, and sums of them that stay below it, are exact in float64.
+_FLOAT64_EXACT = 2**53
 
 # Cap (in elements) on intermediate tensors of einsum contractions.
 _EINSUM_MEM = 1 << 26
@@ -148,8 +150,10 @@ def complete_bidirected_digraph(n: int) -> Digraph:
 def trace_power(g: Digraph, ell: int) -> int:
     """Tr(A^ell): the number of closed walks of length ell, exactly.
 
-    Computed in int64; raises OverflowError when the a-priori bound n^ell on
-    the result leaves the certified integer range instead of wrapping.
+    Every partial sum on the way is a walk count of at most n^ell, so a
+    float64 BLAS product is exact while n^ell < 2^53; int64 (no BLAS) takes
+    over up to 2^62, and beyond that the call raises OverflowError instead
+    of wrapping. Tr(X Y) is summed as sum(X * Y^T), so A^ell is never formed.
     """
     if ell < 1:
         raise ValueError("power must be at least 1")
@@ -157,8 +161,10 @@ def trace_power(g: Digraph, ell: int) -> int:
         raise OverflowError(
             f"n^ell = {g.n}^{ell} exceeds the exact integer range of trace_power"
         )
-    power = np.linalg.matrix_power(g.adj.astype(np.int64), ell)
-    return int(np.trace(power))
+    a = g.adj.astype(np.float64 if g.n**ell < _FLOAT64_EXACT else np.int64)
+    half = np.linalg.matrix_power(a, ell // 2)
+    rest = half @ a if ell % 2 else half
+    return int(np.sum(half * rest.T))
 
 
 def hom_count(h: Digraph, g: Digraph) -> int:

@@ -8,6 +8,12 @@ clustering at an explicit tolerance.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,6 +129,60 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
             f"eigenvalue sum deviates from the trace by {residual:.3e}"
         )
     return vals
+
+
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The OpenBLAS thread count is one setting for the whole process, so the pins
+# of all threads are counted together: the first sets one thread and the last
+# to leave restores the count found by the first.
+_pin_lock = threading.Lock()
+_pins = 0
+_unpinned_threads = 0
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with one OpenBLAS thread; restore the caller's count on exit.
+
+    Enter it from the calling thread before any worker threads start. A
+    multi-threaded dgeev sums in a different order than a single-threaded
+    one, so pinning makes eigenvalue bytes independent of the BLAS thread
+    count, and it leaves the CPUs to the experiment's own thread pool. Does
+    nothing when numpy's bundled OpenBLAS is not found.
+    """
+    global _pins, _unpinned_threads
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    with _pin_lock:
+        if _pins == 0:
+            _unpinned_threads = get()
+            set_(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                set_(_unpinned_threads)
 
 
 def cluster_multiplicities(points, tol: float) -> Spectrum:

@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import digraphon
 
 from digraphon import (
     bidirected_crossing_pair,
@@ -199,3 +206,51 @@ def test_exit_3_on_budget_error(tmp_path):
 def test_exit_4_on_numerical_failure(tmp_path):
     assert main(["double-cover", "--degrees", "3", "--seed", "0",
                  "--tol", "1e-30", "--out-dir", str(tmp_path)]) == 4
+
+
+def test_exit_2_on_bad_thread_count(tmp_path, capsys, monkeypatch):
+    for raw in ("abc", "-1", "1.5"):
+        monkeypatch.setenv("DIGRAPHON_THREADS", raw)
+        assert main(["double-cover", "--degrees", "3", "--seed", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "DIGRAPHON_THREADS" in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_records_tol_and_nu_gaps_only_when_set(digraphon_file, crossing_kernel_file, tmp_path):
+    def config(args, name):
+        assert main([*args, "--out-dir", str(tmp_path)]) == 0
+        return json.loads((tmp_path / name).read_text())["config"]
+
+    spectrum = ["spectrum", "--kernel", crossing_kernel_file]
+    assert "tol" not in config(spectrum, "spectrum.json")
+    assert config([*spectrum, "--tol", "1e-6"], "spectrum.json")["tol"] == 1e-6
+    converge = ["converge", "--kernel", digraphon_file, "--sizes", "10",
+                "--seeds-per-size", "1", "--epsilon", "0.05", "--seed", "2"]
+    assert "nu_gaps" not in config(converge, "converge_seed2.json")
+    assert config([*converge, "--nu-gaps"], "converge_seed2.json")["nu_gaps"] is True
+    cover = ["double-cover", "--degrees", "3", "--seed", "5"]
+    assert "tol" not in config(cover, "double_cover_seed5.json")
+    assert config([*cover, "--tol", "0.01"], "double_cover_seed5.json")["tol"] == 0.01
+
+
+def test_output_bytes_do_not_depend_on_thread_counts(digraphon_file, tmp_path):
+    # n = 400 is large enough for a multi-threaded OpenBLAS to split dgeev's work
+    commands = {
+        "converge_seed17.json": ["converge", "--kernel", digraphon_file, "--sizes", "400",
+                                 "--seeds-per-size", "2", "--epsilon", "0.05", "--seed", "17"],
+        "double_cover_seed17.json": ["double-cover", "--degrees", "100", "--seed", "17"],
+    }
+    src = str(Path(digraphon.__file__).resolve().parents[1])
+    digests = {name: set() for name in commands}
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, DIGRAPHON_THREADS=workers,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"blas{blas}_workers{workers}"
+            for name, args in commands.items():
+                subprocess.run([sys.executable, "-m", "digraphon.cli", *args, "--out-dir", str(out)],
+                               env=env, check=True, timeout=120)
+                digests[name].add(hashlib.sha256((out / name).read_bytes()).hexdigest())
+    assert {name: len(d) for name, d in digests.items()} == {name: 1 for name in commands}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from digraphon import (
+    IsolationError,
     NumericalError,
     StepDigraphon,
     StepKernel,
@@ -22,6 +23,7 @@ from digraphon import (
     uniform_measures,
     verify_trace_formula,
 )
+from digraphon import limits, spectra
 
 
 def crossing_kernel():
@@ -164,6 +166,33 @@ def test_convergence_experiment_nu_gaps_optional():
     assert row.nu_gaps is not None
     g1, g2 = row.nu_gaps
     assert g1 >= 0.0 and g2 >= 0.0
+
+
+def test_convergence_experiment_pins_and_restores_blas_threads(monkeypatch):
+    fns = spectra._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = fns
+    seen = []
+    spectrum = limits.normalized_spectrum
+
+    def recording_spectrum(g):
+        seen.append(get())
+        return spectrum(g)
+
+    monkeypatch.setattr(limits, "normalized_spectrum", recording_spectrum)
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    before = get()
+    set_(2)
+    try:
+        convergence_experiment(w, [20, 40], 2, epsilon=0.05, seed=3, workers=2)
+        assert seen == [1] * 4 and get() == 2
+        # 0 lies within 2 * epsilon of the limit points +-1/8
+        with pytest.raises(IsolationError):
+            convergence_experiment(w, [20], 1, epsilon=0.1, seed=3, workers=2)
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from digraphon import (
     step_from_digraph,
     step_spectrum,
 )
+from digraphon import spectra
 from digraphon.stepkernel import StepDigraphon, StepKernel, uniform_measures
 
 
@@ -320,3 +321,23 @@ def test_spectrum_csv_without_zero_flag():
 def test_spectrum_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         spectrum_from_csv("a,b,c\n1,0,1\n")
+
+
+def test_overlapping_blas_pins_restore_once_the_last_exits():
+    fns = spectra._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    try:
+        # two callers on different threads: the first to enter leaves first
+        first, second = spectra.one_blas_thread(), spectra.one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
+    finally:
+        set_(before)
