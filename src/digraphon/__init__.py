@@ -14,8 +14,10 @@ from .digraph import (
     bidirected_double_cover,
     complete_bidirected_digraph,
     cycle_digraph,
+    digraph_edgelist_text,
     digraph_from_edgelist,
     digraph_from_json,
+    digraph_json_text,
     digraph_to_edgelist,
     digraph_to_json,
     empty_digraph,

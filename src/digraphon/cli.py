@@ -13,10 +13,12 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .digraph import digraph_to_edgelist, digraph_to_json, sample_bidirected_random, sample_w_random
+from .digraph import digraph_edgelist_text, digraph_json_text, sample_bidirected_random, sample_w_random
 from .errors import BudgetError, GenerationError, IsolationError, NumericalError, StructureError
 from .limits import (
     convergence_experiment,
@@ -90,12 +92,13 @@ def _flags_obj(cfg: RunConfig) -> dict:
     return obj
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write text, or its pieces in order, to a temp file and rename it to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -193,11 +196,11 @@ def _run_sample(cfg: RunConfig) -> None:
     else:
         g = sample_w_random(_load_kernel(cfg, require_digraphon=True), cfg.n, cfg.seed)
     if cfg.fmt == "csv":
-        body = digraph_to_edgelist(g)
-        _write_atomic(_out_name(cfg, "sample", "txt", True), _csv_with_header(cfg, body))
+        text = chain([_csv_with_header(cfg, "")], digraph_edgelist_text(g))
+        _write_atomic(_out_name(cfg, "sample", "txt", True), text)
     else:
-        obj = {"config": _flags_obj(cfg), **digraph_to_json(g)}
-        _write_atomic(_out_name(cfg, "sample", "json", True), _dump_json(obj))
+        text = digraph_json_text(g, {"config": _flags_obj(cfg)})
+        _write_atomic(_out_name(cfg, "sample", "json", True), text)
 
 
 def _run_converge(cfg: RunConfig) -> None:
@@ -284,11 +287,24 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise instead of printing usage and exiting.
+
+    Subparsers are built from the parser's own class, so their errors raise too.
+    """
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="digraphon",
         description="Densities, spectra and convergence experiments for digraph limits.",
     )
@@ -351,10 +367,10 @@ def _workers_from_env() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         workers = _workers_from_env()
-    except ValueError as exc:
+    except (argparse.ArgumentError, ValueError) as exc:
         _emit_error(exc)
         return _EXIT_VALIDATION
     cfg = RunConfig(

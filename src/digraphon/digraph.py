@@ -6,11 +6,13 @@ integers, all sampling is reproducible from an explicit seed (numpy PCG64).
 """
 from __future__ import annotations
 
+import json
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,10 @@ _FLOAT64_EXACT = 2**53
 # Cap (in elements) on intermediate tensors of einsum contractions.
 _EINSUM_MEM = 1 << 26
 
+# Peak traced bytes per n^2 of one W-random draw: the int8 adjacency, the
+# copy Digraph keeps and one n^2 validation temporary (3.0 measured at n=4000).
+_SAMPLE_BYTES_PER_N2 = 3
+
 
 @dataclass(frozen=True, eq=False)
 class Digraph:
@@ -45,12 +51,17 @@ class Digraph:
         a = np.asarray(self.adj)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("adjacency must be a non-empty square matrix")
-        if not (((a == 0) | (a == 1)).all()):
+        # Built in place and dropped before the int8 copy, so validation holds
+        # at most two n^2 temporaries at a time (see _SAMPLE_BYTES_PER_N2).
+        binary = a == 0
+        binary |= a == 1
+        if not binary.all():
             raise ValueError("adjacency entries must be 0 or 1")
+        del binary
         a = a.astype(np.int8)
         if np.trace(a, dtype=np.int64) != 0:
             raise ValueError("loops are not allowed (diagonal must be zero)")
-        if not self.allow_bidirected and np.any((a & a.T) != 0):
+        if not self.allow_bidirected and np.any(a & a.T):
             raise ValueError(
                 "antiparallel edge pair present; construct with allow_bidirected=True"
             )
@@ -67,6 +78,7 @@ class Digraph:
         return int(self.adj.sum(dtype=np.int64))
 
     def edges(self) -> list[tuple[int, int]]:
+        """Every edge (i, j), in row-major order (sorted by i, then j)."""
         ii, jj = np.nonzero(self.adj)
         return list(zip(ii.tolist(), jj.tolist()))
 
@@ -274,26 +286,14 @@ def sample_w_random(w: "StepDigraphon", n: int, seed: int) -> Digraph:
     Each vertex draws a block label with the block measures as probabilities;
     each unordered pair {i, j} independently receives the edge i -> j with
     probability W(x_i, x_j), the edge j -> i with probability W(x_j, x_i),
-    and no edge otherwise. Deterministic given the seed.
+    and no edge otherwise. Deterministic given the seed: this is
+    sample_bidirected_random with W1 = 0, and draws the same random stream.
     """
     from .stepkernel import StepDigraphon
 
     if not isinstance(w, StepDigraphon):
         raise TypeError("sample_w_random requires a StepDigraphon")
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    rng = np.random.default_rng(seed)
-    labels = rng.choice(w.k, size=n, p=w.measures)
-    prob = w.values[labels[:, None], labels[None, :]]
-    iu, ju = np.triu_indices(n, k=1)
-    u = rng.random(iu.size)
-    p = prob[iu, ju]
-    q = prob[ju, iu]
-    fwd = u < p
-    bwd = (~fwd) & (u < p + q)
-    adj = np.zeros((n, n), dtype=np.int8)
-    adj[iu[fwd], ju[fwd]] = 1
-    adj[ju[bwd], iu[bwd]] = 1
+    adj = _sample_adjacency(np.zeros_like(w.values), w.values, w.measures, n, seed)
     return Digraph(adj, allow_bidirected=False)
 
 
@@ -308,24 +308,35 @@ def sample_bidirected_random(p: "BidirectedStepPair", n: int, seed: int) -> Digr
 
     if not isinstance(p, BidirectedStepPair):
         raise TypeError("sample_bidirected_random requires a BidirectedStepPair")
+    return Digraph(_sample_adjacency(p.w1, p.w2, p.measures, n, seed), allow_bidirected=True)
+
+
+def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
+    """int8 adjacency of one draw, filled one row of the upper triangle at a time.
+
+    Labels come from choice(k, n, p=measures); then row i draws
+    random(n - 1 - i), one uniform u per pair (i, j > i) in row-major order:
+    both edges when u < W1, i -> j when u < W1 + W2(x_i, x_j), j -> i when
+    u < W1 + W2(x_i, x_j) + W2(x_j, x_i), W1 read at (x_i, x_j).
+    """
     if n < 1:
         raise ValueError("sample size must be positive")
+    need = _SAMPLE_BYTES_PER_N2 * n * n
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise BudgetError(f"sampling n={n} needs about {need / 2**30:.1f} GiB, more than "
+                          f"the {memory / 2**30:.1f} GiB of physical memory")
     rng = np.random.default_rng(seed)
-    labels = rng.choice(p.k, size=n, p=p.measures)
-    w1 = p.w1[labels[:, None], labels[None, :]]
-    w2 = p.w2[labels[:, None], labels[None, :]]
-    iu, ju = np.triu_indices(n, k=1)
-    u = rng.random(iu.size)
-    both = u < w1[iu, ju]
-    t1 = w1[iu, ju] + w2[iu, ju]
-    fwd = (~both) & (u < t1)
-    bwd = (~both) & (~fwd) & (u < t1 + w2[ju, iu])
+    labels = rng.choice(len(measures), size=n, p=measures)
     adj = np.zeros((n, n), dtype=np.int8)
-    adj[iu[both], ju[both]] = 1
-    adj[ju[both], iu[both]] = 1
-    adj[iu[fwd], ju[fwd]] = 1
-    adj[ju[bwd], iu[bwd]] = 1
-    return Digraph(adj, allow_bidirected=True)
+    for i in range(n - 1):
+        x, rest = labels[i], labels[i + 1:]
+        u = rng.random(n - 1 - i)
+        both = w1[x][rest]
+        t1 = both + w2[x][rest]
+        adj[i, i + 1:] = u < t1
+        adj[i + 1:, i] = (u < both) | ((u >= t1) & (u < t1 + w2[:, x][rest]))
+    return adj
 
 
 def _has_suitable(edges: set, potential: dict) -> bool:
@@ -431,8 +442,47 @@ def digraph_to_json(g: Digraph) -> dict:
     return {
         "n": g.n,
         "allow_bidirected": g.allow_bidirected,
-        "edges": [[int(i), int(j)] for i, j in sorted(g.edges())],
+        "edges": np.argwhere(g.adj).tolist(),
     }
+
+
+# One [i, j] of a top-level "edges" list under json.dumps(indent=2).
+_EDGE_JSON = "\n    [\n      %d,\n      %d\n    ]"
+# Adjacency cells per row block of the streaming writers.
+_WRITE_CELLS = 1 << 18
+
+
+def _edge_text(g: Digraph, template: str, sep: str) -> Iterator[str]:
+    """template % (i, j) for every edge in row-major order, joined by sep, a row block at a time."""
+    step = max(1, _WRITE_CELLS // g.n)
+    lead = ""
+    for lo in range(0, g.n, step):
+        ii, jj = np.nonzero(g.adj[lo:lo + step])
+        if ii.size:
+            ij = np.column_stack((ii + lo, jj)).ravel().tolist()
+            yield lead + sep.join([template] * ii.size) % tuple(ij)
+            lead = sep
+
+
+def digraph_json_text(g: Digraph, extra: dict) -> Iterator[str]:
+    """json.dumps({**extra, **digraph_to_json(g)}, sort_keys=True, indent=2) + "\\n" in pieces.
+
+    Under indent=2 every edge is the same text around two integers, so the
+    "edges" list is formatted from np.nonzero a row block at a time and the
+    rest comes from json.dumps of the same object with no edges.
+    """
+    obj = {**extra, "n": g.n, "allow_bidirected": g.allow_bidirected, "edges": []}
+    shell = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    edges = _edge_text(g, _EDGE_JSON, ",")
+    first = next(edges, None)
+    if first is None:
+        yield shell
+        return
+    # Strings in `extra` escape their quotes, so only the key itself matches.
+    head, _, tail = shell.rpartition('"edges": []')
+    yield head + '"edges": [' + first
+    yield from edges
+    yield "\n  ]" + tail
 
 
 def digraph_from_json(obj: dict) -> Digraph:
@@ -455,11 +505,15 @@ def digraph_from_json(obj: dict) -> Digraph:
     return Digraph(adj, allow_bidirected=bool(obj["allow_bidirected"]))
 
 
+def digraph_edgelist_text(g: Digraph) -> Iterator[str]:
+    """digraph_to_edgelist(g) in pieces, a row block of edges at a time."""
+    yield f"# n={g.n} bidirected={1 if g.allow_bidirected else 0}\n"
+    yield from _edge_text(g, "%d %d\n", "")
+
+
 def digraph_to_edgelist(g: Digraph) -> str:
     """Plain-text edge list with a '# n=<n> bidirected=<0|1>' header line."""
-    lines = [f"# n={g.n} bidirected={1 if g.allow_bidirected else 0}"]
-    lines.extend(f"{i} {j}" for i, j in sorted(g.edges()))
-    return "\n".join(lines) + "\n"
+    return "".join(digraph_edgelist_text(g))
 
 
 def digraph_from_edgelist(text: str) -> Digraph:

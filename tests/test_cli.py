@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,39 @@ def test_sample_from_pair(tmp_path):
     assert obj["allow_bidirected"] is True
 
 
+@pytest.mark.parametrize("fmt,ext,flag,digest", [
+    ("json", "json", "--kernel", "fcfea2a68204f49ca17efaa160f70035651b41b261a9cd77e4408355e2412740"),
+    ("csv", "txt", "--kernel", "dd0040e181cddb9a4f46a1cf743c0c086e7706cc0642ceff37ed576bed7aac77"),
+    ("json", "json", "--pair", "f4753fe4c902af1abc90396bae9d1741b4ca00f3a03b7951862fb922ea34b73b"),
+    ("csv", "txt", "--pair", "32c28e0d0919809420200a15559c8444d5a3de2763dec96d323e20b03f53a3e4"),
+])
+def test_sample_bytes_are_pinned(digraphon_file, tmp_path, fmt, ext, flag, digest):
+    # digests of the vectorised sampler and the json.dumps writer at n = 300
+    if flag == "--pair":
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
+    else:
+        path = Path(digraphon_file)
+    out = tmp_path / "out"
+    assert main(["sample", flag, str(path), "--n", "300", "--seed", "7",
+                 "--format", fmt, "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / f"sample_seed7.{ext}").read_bytes()).hexdigest() == digest
+
+
+def test_exit_3_when_sample_exceeds_physical_memory(digraphon_file, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["sample", "--kernel", digraphon_file, "--n", "10000000", "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
+    assert peak < 1 << 20
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_report(digraphon_file, tmp_path):
     out = tmp_path / "out"
     args = ["converge", "--kernel", digraphon_file, "--sizes", "10,20",
@@ -216,6 +250,31 @@ def test_exit_2_on_bad_thread_count(tmp_path, capsys, monkeypatch):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "DIGRAPHON_THREADS" in err["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,names", [
+    (["converge", "--kernel", "k.json", "--sizes", "50,x", "--seeds-per-size", "1",
+      "--epsilon", "0.1", "--seed", "1"], "--sizes"),
+    (["double-cover", "--degrees", "4,y", "--seed", "1"], "--degrees"),
+    (["sample", "--kernel", "k.json", "--n", "5"], "--seed"),
+    (["no-such-command"], "no-such-command"),
+    ([], "command"),
+])
+def test_exit_2_with_one_json_error_on_parse_errors(args, names, tmp_path, capsys):
+    assert main([*args, "--out-dir", str(tmp_path)] if args else args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "ArgumentError"
+    assert names in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: digraphon sample")
 
 
 def test_config_records_tol_and_nu_gaps_only_when_set(digraphon_file, crossing_kernel_file, tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from digraphon import (
     digraph_from_edgelist,
     digraph_from_json,
     digraph_to_edgelist,
+    digraph_edgelist_text,
+    digraph_json_text,
     digraph_to_json,
     empty_digraph,
     eigenvalues,
@@ -25,7 +29,9 @@ from digraphon import (
     subgraph_density,
     trace_power,
 )
+from digraphon import digraph
 from digraphon.stepkernel import (
+    BidirectedStepPair,
     StepDigraphon,
     bidirected_crossing_pair,
     oneway_crossing_pair,
@@ -308,6 +314,75 @@ def test_sample_bidirected_deterministic():
     assert np.array_equal(a.adj, b.adj)
 
 
+def frozen_sample_w_random(w, n, seed):
+    """The earlier vectorised sampler, kept as the byte-identity oracle."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(w.k, size=n, p=w.measures)
+    prob = w.values[labels[:, None], labels[None, :]]
+    iu, ju = np.triu_indices(n, k=1)
+    u = rng.random(iu.size)
+    p = prob[iu, ju]
+    q = prob[ju, iu]
+    fwd = u < p
+    bwd = (~fwd) & (u < p + q)
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[iu[fwd], ju[fwd]] = 1
+    adj[ju[bwd], iu[bwd]] = 1
+    return adj
+
+
+def frozen_sample_bidirected_random(p, n, seed):
+    """The earlier vectorised pair sampler, kept as the byte-identity oracle."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(p.k, size=n, p=p.measures)
+    w1 = p.w1[labels[:, None], labels[None, :]]
+    w2 = p.w2[labels[:, None], labels[None, :]]
+    iu, ju = np.triu_indices(n, k=1)
+    u = rng.random(iu.size)
+    both = u < w1[iu, ju]
+    t1 = w1[iu, ju] + w2[iu, ju]
+    fwd = (~both) & (u < t1)
+    bwd = (~both) & (~fwd) & (u < t1 + w2[ju, iu])
+    adj = np.zeros((n, n), dtype=np.int8)
+    adj[iu[both], ju[both]] = 1
+    adj[ju[both], iu[both]] = 1
+    adj[iu[fwd], ju[fwd]] = 1
+    adj[ju[bwd], iu[bwd]] = 1
+    return adj
+
+
+def random_pair(rng, k):
+    s = rng.random((k, k))
+    m = rng.random(k) + 0.1
+    return BidirectedStepPair((s + s.T) / 4, rng.random((k, k)) / 4, m / m.sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 257])
+def test_samplers_match_the_vectorised_samplers_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 4):
+        w, p = random_digraphon(rng, k), random_pair(rng, k)
+        for seed in (0, 1, 2**40 + 3):
+            g = sample_w_random(w, n, seed)
+            assert g.adj.tobytes() == frozen_sample_w_random(w, n, seed).tobytes()
+            h = sample_bidirected_random(p, n, seed)
+            assert h.adj.tobytes() == frozen_sample_bidirected_random(p, n, seed).tobytes()
+
+
+def test_sample_refuses_n_beyond_physical_memory_before_allocating():
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), uniform_measures(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="physical memory"):
+            sample_w_random(w, 10_000_000, seed=0)
+        with pytest.raises(BudgetError):
+            sample_bidirected_random(bidirected_crossing_pair(), 10_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the labels alone would take 80 MB
+
+
 # ---------------------------------------------------------------------------
 # regular graphs and double covers
 
@@ -401,3 +476,38 @@ def test_digraph_json_rejects_malformed():
         digraph_from_json({"n": 2, "allow_bidirected": False, "edges": [[0, 5]]})
     with pytest.raises(ValueError):
         digraph_from_edgelist("0 1\n")
+
+
+def dumped(g, extra):
+    return json.dumps({**extra, **digraph_to_json(g)}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cells", [1, 64, 1 << 18])
+def test_json_writer_matches_json_dumps(monkeypatch, cells):
+    # cells=1 and 64 put one row per block, so block joins and empty rows are hit
+    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    rng = np.random.default_rng(12)
+    graphs = [empty_digraph(1), empty_digraph(7), cycle_digraph(2), complete_bidirected_digraph(4),
+              random_digraph(rng, 50), sample_bidirected_random(random_pair(rng, 3), 40, seed=1)]
+    configs = [{}, {"config": {"command": "sample", "kernel": 'q"uote\\back\u00e9\u6f22.json'}},
+               {"config": {"kernel": '"edges": [].json', "pair": "x\n\"edges\": []"}}]
+    for g in graphs:
+        for extra in configs:
+            assert "".join(digraph_json_text(g, extra)) == dumped(g, extra)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 18])
+def test_edgelist_writer_matches_the_joined_lines(monkeypatch, cells):
+    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    rng = np.random.default_rng(13)
+    for g in (empty_digraph(1), empty_digraph(3), cycle_digraph(2), random_digraph(rng, 60),
+              sample_bidirected_random(random_pair(rng, 2), 30, seed=4)):
+        lines = [f"# n={g.n} bidirected={int(g.allow_bidirected)}"]
+        lines.extend(f"{i} {j}" for i, j in sorted(g.edges()))
+        assert "".join(digraph_edgelist_text(g)) == digraph_to_edgelist(g) == "\n".join(lines) + "\n"
+
+
+def test_edges_are_row_major():
+    g = random_digraph(np.random.default_rng(14), 40)
+    assert g.edges() == sorted(g.edges())
+    assert digraph_to_json(g)["edges"] == [list(e) for e in sorted(g.edges())]
