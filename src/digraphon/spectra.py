@@ -185,6 +185,34 @@ def one_blas_thread():
                 set_(_unpinned_threads)
 
 
+def _sweep(axis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order along one axis and, per sorted point, its later neighbours within 2 tol."""
+    order = np.argsort(axis, kind="stable")
+    ax = axis[order]
+    return order, np.searchsorted(ax, ax + 2.0 * tol, side="right") - np.arange(1, ax.size + 1)
+
+
+def _close_pairs(centroids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j with |c_i - c_j| <= tol, in row-major order.
+
+    A sort-and-sweep finds the candidates along the real or the imaginary
+    axis, whichever gives fewer (spectra of real matrices often crowd one
+    axis): a close pair lies within tol on each axis, and the window of
+    2 tol absorbs the rounding of the sweep's bound. The candidates are
+    then held to the exact test.
+    """
+    order, counts = min(_sweep(centroids.real, tol), _sweep(centroids.imag, tol),
+                        key=lambda swept: int(swept[1].sum()))
+    first = np.repeat(np.arange(counts.size), counts)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    close = np.abs(centroids[i] - centroids[j]) <= tol
+    i, j = i[close], j[close]
+    rowmajor = np.lexsort((j, i))
+    return i[rowmajor], j[rowmajor]
+
+
 def cluster_multiplicities(points, tol: float) -> Spectrum:
     """Single-linkage clustering of eigenvalues into (centroid, mass) pairs.
 
@@ -199,10 +227,8 @@ def cluster_multiplicities(points, tol: float) -> Spectrum:
     centroids = pts.copy()
     weights = np.ones(pts.size, dtype=np.int64)
     while centroids.size > 1:
-        d = np.abs(centroids[:, None] - centroids[None, :])
-        np.fill_diagonal(d, np.inf)
-        close = d <= tol
-        if not close.any():
+        first, second = _close_pairs(centroids, tol)
+        if first.size == 0:
             break
         # one union-find round over all currently-close pairs
         parent = np.arange(centroids.size)
@@ -213,44 +239,49 @@ def cluster_multiplicities(points, tol: float) -> Spectrum:
                 x = parent[x]
             return x
 
-        for i, j in zip(*np.nonzero(close)):
-            if i < j:
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[rj] = ri
-        roots = np.asarray([find(int(i)) for i in range(centroids.size)])
-        new_centroids = []
-        new_weights = []
-        for r in np.unique(roots):
-            members = roots == r
-            wsum = int(weights[members].sum())
-            new_centroids.append(complex((centroids[members] * weights[members]).sum() / wsum))
-            new_weights.append(wsum)
-        centroids = np.asarray(new_centroids, dtype=np.complex128)
-        weights = np.asarray(new_weights, dtype=np.int64)
+        for i, j in zip(first.tolist(), second.tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+        roots = parent
+        while not np.array_equal(roots, roots[roots]):
+            roots = roots[roots]
+        # members grouped by root, ascending within a group; groups in root order
+        members = np.argsort(roots, kind="stable")
+        grouped = roots[members]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        sizes = np.diff(np.r_[starts, members.size])
+        weights_out = np.add.reduceat(weights[members], starts)
+        # a one-member sum is 0 + c * w, as the sum of a one-element array
+        lead = members[starts]
+        centroids_out = (0j + centroids[lead] * weights[lead]) / weights[lead]
+        for g in np.flatnonzero(sizes > 1):
+            idx = members[starts[g]:starts[g] + sizes[g]]
+            centroids_out[g] = (centroids[idx] * weights[idx]).sum() / int(weights_out[g])
+        centroids = centroids_out
+        weights = weights_out
     order = np.lexsort((centroids.imag, centroids.real))
     pts_out = tuple((complex(centroids[i]), int(weights[i])) for i in order)
     return Spectrum(pts_out)
 
 
-def digraph_spectrum(g: Digraph, tol: float | None = None) -> Spectrum:
-    """Clustered spectrum of the adjacency matrix of a digraph."""
-    vals = eigenvalues(g.adj.astype(np.float64))
+def _adjacency_spectrum(vals: np.ndarray, n: int, divisor: int, tol: float | None) -> Spectrum:
+    """Clustered spectrum of the n-vertex adjacency eigenvalues vals, divided by divisor."""
     if tol is None:
-        tol = default_cluster_tol(g.n, 1.0)
-    spec = cluster_multiplicities(vals, tol)
+        tol = default_cluster_tol(n, 1.0 / divisor)
+    spec = cluster_multiplicities(vals / divisor, tol)
     has_zero = any(abs(v) <= tol for v, _ in spec.points)
     return replace(spec, includes_zero_spectral_point=has_zero)
+
+
+def digraph_spectrum(g: Digraph, tol: float | None = None) -> Spectrum:
+    """Clustered spectrum of the adjacency matrix of a digraph."""
+    return _adjacency_spectrum(eigenvalues(g.adj.astype(np.float64)), g.n, 1, tol)
 
 
 def normalized_spectrum(g: Digraph, tol: float | None = None) -> Spectrum:
     """Spectrum of the adjacency matrix divided by the vertex count."""
-    vals = eigenvalues(g.adj.astype(np.float64)) / g.n
-    if tol is None:
-        tol = default_cluster_tol(g.n, 1.0 / g.n)
-    spec = cluster_multiplicities(vals, tol)
-    has_zero = any(abs(v) <= tol for v, _ in spec.points)
-    return replace(spec, includes_zero_spectral_point=has_zero)
+    return _adjacency_spectrum(eigenvalues(g.adj.astype(np.float64)), g.n, g.n, tol)
 
 
 def step_spectrum(w: StepKernel, tol: float | None = None) -> Spectrum:

@@ -16,12 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph, automorphism_count
+from .digraph import _EINSUM_MEM, Digraph, automorphism_count
 from .errors import BudgetError, StructureError
 
 _MEASURE_TOL = 1e-12
-_EINSUM_MEM = 1 << 26
 _CUT_NORM_MAX_BLOCKS = 24
+# The cut scan pairs a table over the subsets of this many low rows with one
+# entry of the table over the remaining rows at a time.
+_CUT_LOW_ROWS = 10
 _PERM_SEARCH_MAX_BLOCKS = 9
 _REFINEMENT_MAX_BLOCKS = 10_000
 
@@ -278,62 +280,76 @@ def hom_density_pair(h: Digraph, p: BidirectedStepPair) -> float:
 # cut norm and metric
 
 
-def _cut_scan(r: np.ndarray, want_witness: bool):
+def _subset_sums(r: np.ndarray) -> np.ndarray:
+    """Column sums and total of every subset of the m rows of r (..., m, k).
+
+    Returns (..., k + 1, 2^m): entry [j, s] sums column j over the rows i
+    with bit i of s set, and row k holds the totals of those rows. The
+    table is built by doubling: the table over rows 0..b-1 is followed by
+    the same table plus row b.
+    """
+    out = np.concatenate((r, r.sum(axis=-1, keepdims=True)), axis=-1)
+    table = np.zeros(out.shape[:-2] + (out.shape[-1], 1))
+    for b in range(out.shape[-2]):
+        table = np.concatenate((table, table + out[..., b, :, None]), axis=-1)
+    return table
+
+
+def _cut_scan(r: np.ndarray) -> CutNormWitness:
     """Maximize |sum_{i in S, j in T} r[i, j]| over block subsets S, T.
 
-    For fixed S the optimal T collects the columns whose partial sums share a
-    sign, so only the 2^k row subsets are enumerated. The optimum over
-    [0,1]-valued block functions is attained at such 0/1 vertices because the
-    objective is bilinear.
+    For fixed S with column sums c the optimal T collects the columns of one
+    sign, worth max(sum c^+, sum c^-) = (sum |c_j| + |sum c_j|) / 2, so only
+    the 2^k row subsets are enumerated. The optimum over [0,1]-valued block
+    functions is attained at such 0/1 vertices because the objective is
+    bilinear. Row subset (h << L) + i has column sums low[:, i] + high[:, h],
+    read from the subset-sum tables of the low L rows and of the others; the
+    winner is the first maximum in that order. When several subset pairs
+    attain the maximum exactly, which one wins depends on the rounding of
+    the sums.
     """
     k = r.shape[0]
+    low_rows = min(k, _CUT_LOW_ROWS)
+    low = _subset_sums(r[:low_rows])
+    high = _subset_sums(r[low_rows:])
+    sums = np.empty_like(low)
     best = 0.0
     best_mask = 0
-    best_cols = np.zeros(k, dtype=bool)
-    chunk = 1 << 16
-    bits = np.arange(k, dtype=np.uint32)
-    for lo in range(0, 1 << k, chunk):
-        hi = min(lo + chunk, 1 << k)
-        masks = ((np.arange(lo, hi, dtype=np.uint32)[:, None] >> bits[None, :]) & 1).astype(
-            np.float64
-        )
-        col_sums = masks @ r
-        pos = np.where(col_sums > 0.0, col_sums, 0.0).sum(axis=1)
-        neg = -np.where(col_sums < 0.0, col_sums, 0.0).sum(axis=1)
-        vals = np.maximum(pos, neg)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            if want_witness:
-                best_mask = lo + i
-                best_cols = col_sums[i] > 0.0 if pos[i] >= neg[i] else col_sums[i] < 0.0
-    if not want_witness:
-        return best
-    rows = tuple(i for i in range(k) if (best_mask >> i) & 1)
-    cols = tuple(int(j) for j in np.nonzero(best_cols)[0])
-    return CutNormWitness(best, rows, cols)
+    for h in range(high.shape[1]):
+        np.add(low, high[:, h, None], out=sums)
+        np.abs(sums, out=sums)
+        twice = sums.sum(axis=0)
+        i = int(np.argmax(twice))
+        if twice[i] > best:
+            best = float(twice[i])
+            best_mask = (h << low_rows) + i
+    h, i = divmod(best_mask, 1 << low_rows)
+    col_sums = low[:, i] + high[:, h]
+    cols = col_sums[:k] > 0.0 if col_sums[k] >= 0.0 else col_sums[:k] < 0.0
+    rows = tuple(b for b in range(k) if (best_mask >> b) & 1)
+    return CutNormWitness(0.5 * best, rows, tuple(int(j) for j in np.nonzero(cols)[0]))
 
 
 def _weighted(v: StepKernel) -> np.ndarray:
     return v.measures[:, None] * v.values * v.measures[None, :]
 
 
-def cut_norm(v: StepKernel) -> float:
-    """Cut norm: max over block subsets S, T of |sum_{S x T} mu_i mu_j V[i,j]|."""
+def _exact_cut(v: StepKernel) -> CutNormWitness:
     if v.k > _CUT_NORM_MAX_BLOCKS:
         raise BudgetError(
             f"exact cut norm enumerates 2^k subsets; k={v.k} exceeds {_CUT_NORM_MAX_BLOCKS}"
         )
-    return float(_cut_scan(_weighted(v), want_witness=False))
+    return _cut_scan(_weighted(v))
+
+
+def cut_norm(v: StepKernel) -> float:
+    """Cut norm: max over block subsets S, T of |sum_{S x T} mu_i mu_j V[i,j]|."""
+    return _exact_cut(v).value
 
 
 def cut_norm_witness(v: StepKernel) -> CutNormWitness:
     """Cut norm plus the first optimal (S, T) in mask order (reproducible)."""
-    if v.k > _CUT_NORM_MAX_BLOCKS:
-        raise BudgetError(
-            f"exact cut norm enumerates 2^k subsets; k={v.k} exceeds {_CUT_NORM_MAX_BLOCKS}"
-        )
-    return _cut_scan(_weighted(v), want_witness=True)
+    return _exact_cut(v)
 
 
 def _require_same_structure(a: StepKernel, b: StepKernel) -> None:
@@ -399,8 +415,6 @@ def cut_distance_perm(w1: StepKernel, w2: StepKernel) -> float:
             f"permutation search enumerates k! relabelings; k={k} exceeds {_PERM_SEARCH_MAX_BLOCKS}"
         )
     weight = 1.0 / (k * k)
-    masks = ((np.arange(1 << k, dtype=np.uint32)[:, None] >> np.arange(k, dtype=np.uint32)) & 1
-             ).astype(np.float64)
     best = math.inf
     chunk = 512
     batch: list[tuple[int, ...]] = []
@@ -409,10 +423,9 @@ def cut_distance_perm(w1: StepKernel, w2: StepKernel) -> float:
         p = np.asarray(batch_perms, dtype=np.intp)
         relabeled = r2.values[p[:, :, None], p[:, None, :]]
         diff = (r1.values[None, :, :] - relabeled) * weight
-        col_sums = np.einsum("si,cij->csj", masks, diff, optimize=True)
-        pos = np.where(col_sums > 0.0, col_sums, 0.0).sum(axis=2)
-        neg = -np.where(col_sums < 0.0, col_sums, 0.0).sum(axis=2)
-        return float(np.maximum(pos, neg).max(axis=1).min())
+        sums = _subset_sums(diff)
+        np.abs(sums, out=sums)
+        return 0.5 * float(sums.sum(axis=1).max(axis=1).min())
 
     for perm in permutations(range(k)):
         batch.append(perm)

@@ -24,6 +24,7 @@ from digraphon import (
     verify_trace_formula,
 )
 from digraphon import limits, spectra
+from digraphon.digraph import bidirected_double_cover, oneway_double_cover, random_regular_graph
 
 
 def crossing_kernel():
@@ -259,6 +260,27 @@ def test_double_cover_example_deterministic():
     b = double_cover_example([4], seed=9)
     assert a.rows[0].seed == b.rows[0].seed
     assert a.rows[0].cycle_density_bidirected == b.rows[0].cycle_density_bidirected
+
+
+def test_double_cover_example_solves_each_matrix_once(monkeypatch):
+    solved = []
+    eigenvalues = limits.eigenvalues
+
+    def counting_eigenvalues(m):
+        solved.append(m.shape[0])
+        return eigenvalues(m)
+
+    monkeypatch.setattr(limits, "eigenvalues", counting_eigenvalues)
+    report = double_cover_example([4, 6], seed=9)
+    assert solved == [8, 16, 16, 12, 24, 24]
+    targets = [0.25, -0.25, 0.0]
+    for row, d in zip(report.rows, (4, 6)):
+        a = random_regular_graph(2 * d, d, row.seed)
+        for cover, dist in ((bidirected_double_cover(a), row.hausdorff_bidirected),
+                            (oneway_double_cover(a), row.hausdorff_oneway)):
+            # the same bits as clustering a fresh solve of the cover
+            assert dist == spectra.hausdorff_distance(
+                spectra.normalized_spectrum(cover).point_set(), targets)
 
 
 def test_double_cover_example_rejects_tiny_degree():

@@ -16,6 +16,7 @@ from digraphon import (
     multiplicity_match,
     normalized_spectrum,
     op_norm_2to2,
+    oneway_double_cover,
     random_regular_graph,
     sample_w_random,
     singular_moment_bound,
@@ -130,6 +131,105 @@ def test_cluster_preserves_first_moment():
 def test_cluster_rejects_bad_tol():
     with pytest.raises(ValueError):
         cluster_multiplicities([1.0], tol=0.0)
+
+
+def dense_cluster_multiplicities(points, tol, rounds):
+    """The clustering as first written: a dense n x n distance matrix per merge
+    round and one masked sum per cluster. Appends its merge-round count."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    centroids = pts.copy()
+    weights = np.ones(pts.size, dtype=np.int64)
+    count = 0
+    while centroids.size > 1:
+        d = np.abs(centroids[:, None] - centroids[None, :])
+        np.fill_diagonal(d, np.inf)
+        close = d <= tol
+        if not close.any():
+            break
+        count += 1
+        parent = np.arange(centroids.size)
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in zip(*np.nonzero(close)):
+            if i < j:
+                ri, rj = find(int(i)), find(int(j))
+                if ri != rj:
+                    parent[rj] = ri
+        roots = np.asarray([find(int(i)) for i in range(centroids.size)])
+        new_centroids, new_weights = [], []
+        for r in np.unique(roots):
+            members = roots == r
+            wsum = int(weights[members].sum())
+            new_centroids.append(complex((centroids[members] * weights[members]).sum() / wsum))
+            new_weights.append(wsum)
+        centroids = np.asarray(new_centroids, dtype=np.complex128)
+        weights = np.asarray(new_weights, dtype=np.int64)
+    rounds.append(count)
+    order = np.lexsort((centroids.imag, centroids.real))
+    return Spectrum(tuple((complex(centroids[i]), int(weights[i])) for i in order))
+
+
+def spectrum_bits(spec):
+    vals = np.asarray([v for v, _ in spec.points], dtype=np.complex128)
+    return vals.view(np.uint64).tolist(), [m for _, m in spec.points]
+
+
+def staged_points(rng, tol, sites):
+    """Clusters that merge over two rounds, exact duplicates and lone points.
+
+    Two points 0.98 tol apart merge first; their mean then lies within tol of
+    a third point that was more than tol from both. Duplicates merge in the
+    first round and stay weighted singletons while other clusters merge.
+    """
+    pts = []
+    for _ in range(sites):
+        c = complex(*rng.uniform(-1.0, 1.0, 2))
+        kind = rng.integers(3)
+        if kind == 0:
+            jitter = tol * 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            pts += list(c + tol * np.array([0.49j, -0.49j, 0.95]) + jitter)
+        elif kind == 1:
+            pts += [c] * int(rng.integers(2, 5))
+        else:
+            pts.append(c)
+    return pts
+
+
+def test_cluster_matches_dense_clustering_bytes():
+    rng = np.random.default_rng(12)
+    rounds = []
+    for _ in range(60):
+        tol = float(10.0 ** rng.uniform(-6, -3))
+        pts = staged_points(rng, tol, int(rng.integers(1, 30)))
+        want = dense_cluster_multiplicities(pts, tol, rounds)
+        assert spectrum_bits(cluster_multiplicities(pts, tol)) == spectrum_bits(want)
+    assert rounds.count(2) >= 30
+    w = StepDigraphon([[0.0, 0.25], [0.25, 0.0]], uniform_measures(2))
+    for n, seed in ((60, 1), (150, 2), (300, 3)):
+        vals = eigenvalues(sample_w_random(w, n, seed).adj.astype(float)) / n
+        for tol in (1e-7, 1e-3, 2e-2):
+            want = dense_cluster_multiplicities(vals, tol, rounds)
+            assert spectrum_bits(cluster_multiplicities(vals, tol)) == spectrum_bits(want)
+    # one axis crowded: imaginary spectra of a one-way double cover
+    a = random_regular_graph(40, 20, 6)
+    for cover in (bidirected_double_cover(a), oneway_double_cover(a)):
+        vals = eigenvalues(cover.adj.astype(float)) / cover.n
+        for tol in (1e-7, 1e-2):
+            want = dense_cluster_multiplicities(vals, tol, rounds)
+            assert spectrum_bits(cluster_multiplicities(vals, tol)) == spectrum_bits(want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cluster_zero_signs_and_non_finite_points():
+    pts = [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(np.inf, 0.0), complex(np.nan, 0.0),
+           complex(np.inf, 0.0), 2.0, 2.0]
+    want = dense_cluster_multiplicities(pts, 1e-8, [])
+    assert spectrum_bits(cluster_multiplicities(pts, 1e-8)) == spectrum_bits(want)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,9 @@ def test_cut_norm_two_block_checkerboard():
     w = StepKernel([[1.0, -1.0], [-1.0, 1.0]], [0.5, 0.5])
     assert cut_norm(w) == pytest.approx(0.25, abs=0)
     assert brute_cut_norm(w) == pytest.approx(0.25, abs=0)
+    # mask 1 = {0} is the first optimum; its column sums total exactly 0,
+    # and then the positive columns are taken
+    assert cut_norm_witness(w) == (0.25, (0,), (0,))
 
 
 def test_cut_norm_matches_brute_force():
@@ -312,6 +315,67 @@ def test_cut_norm_witness_reconstructs_value():
         val = abs(sum(r[i, j] for i in witness.row_blocks for j in witness.col_blocks))
         assert witness.value == pytest.approx(cut_norm(w), abs=0)
         assert val == pytest.approx(witness.value, abs=1e-14)
+
+
+def gemm_cut_scan(r):
+    """The cut scan as first written: a 0/1 mask matrix per chunk of 2^16 row
+    subsets, a BLAS product for the column sums and the first maximum of
+    max(positive part, negative part) in mask order."""
+    k = r.shape[0]
+    best, best_mask, best_cols = 0.0, 0, np.zeros(k, dtype=bool)
+    bits = np.arange(k, dtype=np.uint32)
+    for lo in range(0, 1 << k, 1 << 16):
+        hi = min(lo + (1 << 16), 1 << k)
+        masks = ((np.arange(lo, hi, dtype=np.uint32)[:, None] >> bits[None, :]) & 1).astype(
+            np.float64
+        )
+        col_sums = masks @ r
+        pos = np.where(col_sums > 0.0, col_sums, 0.0).sum(axis=1)
+        neg = -np.where(col_sums < 0.0, col_sums, 0.0).sum(axis=1)
+        vals = np.maximum(pos, neg)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_mask = float(vals[i]), lo + i
+            best_cols = col_sums[i] > 0.0 if pos[i] >= neg[i] else col_sums[i] < 0.0
+    rows = tuple(i for i in range(k) if (best_mask >> i) & 1)
+    return best, rows, tuple(int(j) for j in np.nonzero(best_cols)[0])
+
+
+def test_cut_scan_matches_gemm_scan():
+    # k = 1..16 covers fewer, as many and more blocks than the low-row table
+    assert 1 < sk._CUT_LOW_ROWS < 16
+    rng = np.random.default_rng(13)
+    for k in range(1, 17):
+        for _ in range(4 if k <= 12 else 2):
+            w = random_kernel(rng, k)
+            value, rows, cols = gemm_cut_scan(sk._weighted(w))
+            witness = cut_norm_witness(w)
+            assert (witness.row_blocks, witness.col_blocks) == (rows, cols)
+            assert witness.value == pytest.approx(value, rel=1e-15, abs=0)
+
+
+def test_cut_norm_witness_of_zero_kernel():
+    for k in (1, 3, sk._CUT_LOW_ROWS, sk._CUT_LOW_ROWS + 2):
+        assert cut_norm_witness(StepKernel(np.zeros((k, k)), uniform_measures(k))) == (0.0, (), ())
+
+
+def test_cut_norm_witness_attains_value_on_ties():
+    # Integer values and duplicated blocks make many subset pairs exactly
+    # optimal. Which of them is returned depends on how the column sums are
+    # rounded (true of any summation order, the BLAS scan's included), so
+    # only the value the witness attains is checked.
+    rng = np.random.default_rng(14)
+    for k in (4, 9, 12, 14):
+        base = rng.integers(-2, 3, ((k + 1) // 2, (k + 1) // 2)).astype(np.float64)
+        blocks = np.repeat(np.arange((k + 1) // 2), 2)[:k]
+        values = base[np.ix_(blocks, blocks)]
+        for measures in (uniform_measures(k), rng.integers(1, 4, k) / 1.0):
+            w = StepKernel(values, measures / measures.sum())
+            witness = cut_norm_witness(w)
+            r = sk._weighted(w)
+            attained = abs(r[np.ix_(witness.row_blocks, witness.col_blocks)].sum())
+            assert attained == pytest.approx(witness.value, abs=1e-14)
+            assert witness.value == pytest.approx(gemm_cut_scan(r)[0], abs=1e-14)
 
 
 def test_cut_norm_dominated_by_fractional_candidates():
@@ -411,6 +475,18 @@ def test_cut_distance_perm_detects_relabeling():
     relabeled = StepDigraphon(w.values[np.ix_(perm, perm)], w.measures)
     assert cut_distance_perm(w, relabeled) == pytest.approx(0.0, abs=1e-14)
     assert cut_distance_perm(w, w) == 0.0
+
+
+def test_cut_distance_perm_is_min_over_relabelings():
+    rng = np.random.default_rng(15)
+    for k in (1, 2, 4):
+        a = random_kernel(rng, k, equal_measures=True)
+        b = random_kernel(rng, k, equal_measures=True)
+        brute = min(
+            cut_metric(a, StepKernel(b.values[np.ix_(p, p)], b.measures, bound=b.bound))
+            for p in itertools.permutations(range(k))
+        )
+        assert cut_distance_perm(a, b) == pytest.approx(brute, rel=1e-15, abs=1e-17)
 
 
 def test_cut_distance_perm_upper_bounds_identity_metric():
