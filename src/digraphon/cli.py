@@ -13,10 +13,9 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import Any, NamedTuple
 
 from .digraph import digraph_edgelist_text, digraph_json_text, sample_bidirected_random, sample_w_random
 from .errors import BudgetError, GenerationError, IsolationError, NumericalError, StructureError
@@ -31,74 +30,41 @@ from .limits import (
     trace_checks_to_csv,
     verify_trace_formula,
 )
-from .spectra import spectrum_to_csv, step_spectrum
-from .stepkernel import (
-    StepDigraphon,
-    cut_norm_witness,
-    kernel_from_json,
-    pair_from_json,
-)
+from .spectra import spectrum_to_csv, spectrum_to_json, step_spectrum
+from .stepkernel import cut_norm_witness, kernel_from_json, pair_from_json
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_BUDGET = 3
 _EXIT_NUMERICAL = 4
 
-
-@dataclass
-class RunConfig:
-    command: str
-    kernel_path: str | None = None
-    pair_path: str | None = None
-    member_paths: list[str] = field(default_factory=list)
-    seed: int = 0
-    n: int = 0
-    sizes: list[int] = field(default_factory=list)
-    seeds_per_size: int = 0
-    degrees: list[int] = field(default_factory=list)
-    epsilon: float = 0.0
-    ell_max: int = 0
-    tol: float | None = None
-    nu_gaps: bool = False
-    out_dir: str = "."
-    fmt: str = "json"
-    workers: int = 1
+_Text = str | Iterable[str]
 
 
-def _flags_obj(cfg: RunConfig) -> dict:
-    obj = {"command": cfg.command, "seed": cfg.seed, "format": cfg.fmt}
-    if cfg.kernel_path:
-        obj["kernel"] = os.path.basename(cfg.kernel_path)
-    if cfg.pair_path:
-        obj["pair"] = os.path.basename(cfg.pair_path)
-    if cfg.member_paths:
-        obj["members"] = [os.path.basename(p) for p in cfg.member_paths]
-    if cfg.n:
-        obj["n"] = cfg.n
-    if cfg.sizes:
-        obj["sizes"] = cfg.sizes
-    if cfg.seeds_per_size:
-        obj["seeds_per_size"] = cfg.seeds_per_size
-    if cfg.degrees:
-        obj["degrees"] = cfg.degrees
-    if cfg.epsilon:
-        obj["epsilon"] = cfg.epsilon
-    if cfg.ell_max:
-        obj["ell_max"] = cfg.ell_max
-    if cfg.tol is not None:
-        obj["tol"] = cfg.tol
-    if cfg.nu_gaps:
-        obj["nu_gaps"] = True
-    return obj
+class _Command(NamedTuple):
+    """One command: its result from the parsed args, and how that result is written.
+
+    to_json(result, extra) gives the JSON text of extra plus the result's
+    fields; to_csv(result) gives the CSV body under the config comment lines.
+    The output is <stem>.<ext>, or <stem>_seed<seed>.<ext> when seeded.
+    """
+
+    compute: Callable[[argparse.Namespace], Any]
+    to_json: Callable[[Any, dict], _Text]
+    to_csv: Callable[[Any], _Text]
+    stem: str
+    seeded: bool
+    csv_ext: str = "csv"
 
 
-def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    """Write text, or its pieces in order, to a temp file and rename it to path."""
+def _write_atomic(path: Path, *parts: _Text) -> None:
+    """Write each text, or its pieces in order, to a temp file and rename it to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            for text in parts:
+                fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,13 +72,9 @@ def _write_atomic(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_with_header(cfg: RunConfig, body: str) -> str:
-    head = "".join(f"# {k}={v}\n" for k, v in sorted(_flags_obj(cfg).items()))
-    return head + body
+def _json(fields: Callable[[Any], dict]) -> Callable[[Any, dict], str]:
+    """to_json from a function giving the result's fields as a dict."""
+    return lambda result, extra: json.dumps({**extra, **fields(result)}, sort_keys=True, indent=2) + "\n"
 
 
 def _load_json_file(path: str) -> dict:
@@ -120,147 +82,92 @@ def _load_json_file(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_kernel(cfg: RunConfig, require_digraphon: bool = False):
-    if not cfg.kernel_path:
-        raise ValueError("--kernel is required for this command")
-    kernel = kernel_from_json(_load_json_file(cfg.kernel_path))
-    if require_digraphon and not isinstance(kernel, StepDigraphon):
-        raise ValueError('this command requires a kernel JSON with "type": "digraphon"')
-    return kernel
+def _kernel(args: argparse.Namespace):
+    return kernel_from_json(_load_json_file(args.kernel))
 
 
-def _out_name(cfg: RunConfig, stem: str, ext: str, seeded: bool) -> Path:
-    name = f"{stem}_seed{cfg.seed}.{ext}" if seeded else f"{stem}.{ext}"
-    return Path(cfg.out_dir) / name
+def _sample(args: argparse.Namespace):
+    if args.pair is not None:
+        pair = pair_from_json(_load_json_file(args.pair))
+        return sample_bidirected_random(pair, args.n, args.seed)
+    return sample_w_random(_kernel(args), args.n, args.seed)
 
 
-def _run_spectrum(cfg: RunConfig) -> None:
-    kernel = _load_kernel(cfg)
-    spec = step_spectrum(kernel, tol=cfg.tol)
-    if cfg.fmt == "csv":
-        _write_atomic(_out_name(cfg, "spectrum", "csv", False),
-                      _csv_with_header(cfg, spectrum_to_csv(spec)))
-    else:
-        obj = {
-            "config": _flags_obj(cfg),
-            "points": [{"re": v.real, "im": v.imag, "mult": m} for v, m in spec.points],
-            "includes_zero_spectral_point": spec.includes_zero_spectral_point,
-        }
-        _write_atomic(_out_name(cfg, "spectrum", "json", False), _dump_json(obj))
+def _step_converge(args: argparse.Namespace):
+    limit = _kernel(args)
+    members = [kernel_from_json(_load_json_file(p)) for p in args.members]
+    return step_sequence_convergence(members, limit, args.epsilon)
 
 
-def _run_cutnorm(cfg: RunConfig) -> None:
-    kernel = _load_kernel(cfg)
-    witness = cut_norm_witness(kernel)
-    if cfg.fmt == "csv":
-        body = "value,row_blocks,col_blocks\n"
-        body += (f"{witness.value:.17g},"
-                 f"\"{' '.join(map(str, witness.row_blocks))}\","
-                 f"\"{' '.join(map(str, witness.col_blocks))}\"\n")
-        _write_atomic(_out_name(cfg, "cutnorm", "csv", False), _csv_with_header(cfg, body))
-    else:
-        obj = {
-            "config": _flags_obj(cfg),
-            "value": witness.value,
-            "row_blocks": list(witness.row_blocks),
-            "col_blocks": list(witness.col_blocks),
-        }
-        _write_atomic(_out_name(cfg, "cutnorm", "json", False), _dump_json(obj))
+def _cutnorm_csv(witness) -> str:
+    rows, cols = (" ".join(map(str, blocks)) for blocks in (witness.row_blocks, witness.col_blocks))
+    return f'value,row_blocks,col_blocks\n{witness.value:.17g},"{rows}","{cols}"\n'
 
 
-def _run_trace_check(cfg: RunConfig) -> None:
-    kernel = _load_kernel(cfg)
-    reports = verify_trace_formula(kernel, cfg.ell_max)
-    if cfg.fmt == "csv":
-        _write_atomic(_out_name(cfg, "trace_check", "csv", False),
-                      _csv_with_header(cfg, trace_checks_to_csv(reports)))
-    else:
-        obj = {
-            "config": _flags_obj(cfg),
-            "checks": [
+def _commands() -> dict[str, _Command]:
+    """The command table, built per call so that it calls whatever this module's
+    names are bound to at run time (tests and tracers rebind them)."""
+    return {
+        "spectrum": _Command(
+            lambda a: step_spectrum(_kernel(a), tol=a.tol),
+            _json(spectrum_to_json), spectrum_to_csv, "spectrum", False),
+        "cutnorm": _Command(
+            lambda a: cut_norm_witness(_kernel(a)),
+            _json(lambda w: {"value": w.value, "row_blocks": list(w.row_blocks),
+                             "col_blocks": list(w.col_blocks)}),
+            _cutnorm_csv, "cutnorm", False),
+        "trace-check": _Command(
+            lambda a: verify_trace_formula(_kernel(a), a.ell_max),
+            _json(lambda reports: {"checks": [
                 {"ell": r.ell, "lhs": r.lhs, "rhs": r.rhs, "abs_error": r.abs_error}
-                for r in reports
-            ],
-        }
-        _write_atomic(_out_name(cfg, "trace_check", "json", False), _dump_json(obj))
+                for r in reports]}),
+            trace_checks_to_csv, "trace_check", False),
+        "sample": _Command(
+            _sample, digraph_json_text, digraph_edgelist_text, "sample", True, "txt"),
+        "converge": _Command(
+            lambda a: convergence_experiment(
+                _kernel(a), a.sizes, a.seeds_per_size, a.epsilon, a.seed,
+                nu_gaps=a.nu_gaps, workers=a.workers),
+            _json(convergence_report_to_json), convergence_report_to_csv, "converge", True),
+        "step-converge": _Command(
+            _step_converge, _json(convergence_report_to_json), convergence_report_to_csv,
+            "step_converge", False),
+        "double-cover": _Command(
+            lambda a: double_cover_example(a.degrees, a.seed, spectral_tol=a.tol),
+            _json(double_cover_report_to_json), double_cover_report_to_csv,
+            "double_cover", True),
+    }
 
 
-def _run_sample(cfg: RunConfig) -> None:
-    if cfg.n < 1:
-        raise ValueError("--n must be positive")
-    if bool(cfg.kernel_path) == bool(cfg.pair_path):
-        raise ValueError("sample requires exactly one of --kernel or --pair")
-    if cfg.pair_path:
-        pair = pair_from_json(_load_json_file(cfg.pair_path))
-        g = sample_bidirected_random(pair, cfg.n, cfg.seed)
-    else:
-        g = sample_w_random(_load_kernel(cfg, require_digraphon=True), cfg.n, cfg.seed)
-    if cfg.fmt == "csv":
-        text = chain([_csv_with_header(cfg, "")], digraph_edgelist_text(g))
-        _write_atomic(_out_name(cfg, "sample", "txt", True), text)
-    else:
-        text = digraph_json_text(g, {"config": _flags_obj(cfg)})
-        _write_atomic(_out_name(cfg, "sample", "json", True), text)
+def _config(args: argparse.Namespace) -> dict:
+    """Every parsed flag but the output directory and pool size, input files by
+    basename; flags left unset (None) or off (False) are omitted."""
+    config = {}
+    for key, value in vars(args).items():
+        if key in ("out_dir", "workers") or value is None or value is False:
+            continue
+        if key in ("kernel", "pair"):
+            value = os.path.basename(value)
+        elif key == "members":
+            value = [os.path.basename(p) for p in value]
+        config[key] = value
+    return config
 
 
-def _run_converge(cfg: RunConfig) -> None:
-    kernel = _load_kernel(cfg, require_digraphon=True)
-    report = convergence_experiment(
-        kernel,
-        cfg.sizes,
-        cfg.seeds_per_size,
-        cfg.epsilon,
-        cfg.seed,
-        nu_gaps=cfg.nu_gaps,
-        workers=cfg.workers,
-    )
-    if cfg.fmt == "csv":
-        _write_atomic(_out_name(cfg, "converge", "csv", True),
-                      _csv_with_header(cfg, convergence_report_to_csv(report)))
-    else:
-        obj = {"config": _flags_obj(cfg), **convergence_report_to_json(report)}
-        _write_atomic(_out_name(cfg, "converge", "json", True), _dump_json(obj))
-
-
-def _run_step_converge(cfg: RunConfig) -> None:
-    limit = _load_kernel(cfg)
-    if not cfg.member_paths:
-        raise ValueError("--members requires at least one kernel file")
-    members = [kernel_from_json(_load_json_file(p)) for p in cfg.member_paths]
-    report = step_sequence_convergence(members, limit, cfg.epsilon)
-    if cfg.fmt == "csv":
-        _write_atomic(_out_name(cfg, "step_converge", "csv", False),
-                      _csv_with_header(cfg, convergence_report_to_csv(report)))
-    else:
-        obj = {"config": _flags_obj(cfg), **convergence_report_to_json(report)}
-        _write_atomic(_out_name(cfg, "step_converge", "json", False), _dump_json(obj))
-
-
-def _run_double_cover(cfg: RunConfig) -> None:
-    report = double_cover_example(cfg.degrees, cfg.seed, spectral_tol=cfg.tol)
-    if cfg.fmt == "csv":
-        _write_atomic(_out_name(cfg, "double_cover", "csv", True),
-                      _csv_with_header(cfg, double_cover_report_to_csv(report)))
-    else:
-        obj = {"config": _flags_obj(cfg), **double_cover_report_to_json(report)}
-        _write_atomic(_out_name(cfg, "double_cover", "json", True), _dump_json(obj))
-
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "cutnorm": _run_cutnorm,
-    "trace-check": _run_trace_check,
-    "sample": _run_sample,
-    "converge": _run_converge,
-    "step-converge": _run_step_converge,
-    "double-cover": _run_double_cover,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; map exceptions to documented exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; map exceptions to documented exit codes."""
+    command = _commands()[args.command]
     try:
-        _RUNNERS[cfg.command](cfg)
+        result = command.compute(args)
+        config = _config(args)
+        stem = f"{command.stem}_seed{args.seed}" if command.seeded else command.stem
+        if args.format == "csv":
+            head = "".join(f"# {k}={v}\n" for k, v in sorted(config.items()))
+            path = Path(args.out_dir) / f"{stem}.{command.csv_ext}"
+            _write_atomic(path, head, command.to_csv(result))
+        else:
+            path = Path(args.out_dir) / f"{stem}.json"
+            _write_atomic(path, command.to_json(result, {"config": config}))
         return _EXIT_OK
     except (BudgetError, GenerationError) as exc:
         _emit_error(exc)
@@ -310,31 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seeded: bool = False) -> None:
-        p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        if seeded:
-            p.add_argument("--seed", type=int, required=True, help="master seed")
-
     p = sub.add_parser("spectrum", help="nonzero spectrum of a step kernel")
     p.add_argument("--kernel", required=True)
     p.add_argument("--tol", type=float, default=None, help="clustering tolerance")
-    common(p)
 
     p = sub.add_parser("cutnorm", help="exact cut norm with an optimal subset pair")
     p.add_argument("--kernel", required=True)
-    common(p)
 
     p = sub.add_parser("trace-check", help="cycle density vs eigenvalue power sums")
     p.add_argument("--kernel", required=True)
     p.add_argument("--ell-max", type=int, required=True)
-    common(p)
 
     p = sub.add_parser("sample", help="draw one random digraph from a kernel or pair")
-    p.add_argument("--kernel")
-    p.add_argument("--pair")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kernel")
+    source.add_argument("--pair")
     p.add_argument("--n", type=int, required=True)
-    common(p, seeded=True)
 
     p = sub.add_parser("converge", help="sampled spectral-convergence experiment")
     p.add_argument("--kernel", required=True)
@@ -342,18 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-size", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--nu-gaps", action="store_true")
-    common(p, seeded=True)
 
     p = sub.add_parser("step-converge", help="deterministic kernel-sequence convergence")
     p.add_argument("--kernel", required=True, help="limit kernel")
     p.add_argument("--members", nargs="+", required=True, help="sequence kernel files")
     p.add_argument("--epsilon", type=float, required=True)
-    common(p)
 
     p = sub.add_parser("double-cover", help="double covers of random regular graphs")
     p.add_argument("--degrees", type=_int_list, required=True, help="e.g. 20,50,100")
     p.add_argument("--tol", type=float, default=None, help="spectral identity tolerance")
-    common(p, seeded=True)
+
+    commands = _commands()
+    for name, p in sub.choices.items():
+        p.add_argument("--out-dir", default=".", help="output directory")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if commands[name].seeded:
+            p.add_argument("--seed", type=int, required=True, help="master seed")
+        else:
+            p.set_defaults(seed=0)
 
     return parser
 
@@ -369,29 +273,11 @@ def _workers_from_env() -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        workers = _workers_from_env()
+        args.workers = _workers_from_env()
     except (argparse.ArgumentError, ValueError) as exc:
         _emit_error(exc)
         return _EXIT_VALIDATION
-    cfg = RunConfig(
-        command=args.command,
-        kernel_path=getattr(args, "kernel", None),
-        pair_path=getattr(args, "pair", None),
-        member_paths=list(getattr(args, "members", []) or []),
-        seed=getattr(args, "seed", 0),
-        n=getattr(args, "n", 0),
-        sizes=list(getattr(args, "sizes", []) or []),
-        seeds_per_size=getattr(args, "seeds_per_size", 0),
-        degrees=list(getattr(args, "degrees", []) or []),
-        epsilon=getattr(args, "epsilon", 0.0),
-        ell_max=getattr(args, "ell_max", 0),
-        tol=getattr(args, "tol", None),
-        nu_gaps=bool(getattr(args, "nu_gaps", False)),
-        out_dir=args.out_dir,
-        fmt=args.fmt,
-        workers=workers,
-    )
-    return run(cfg)
+    return run(args)
 
 
 def entrypoint() -> None:

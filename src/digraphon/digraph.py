@@ -311,6 +311,14 @@ def sample_bidirected_random(p: "BidirectedStepPair", n: int, seed: int) -> Digr
     return Digraph(_sample_adjacency(p.w1, p.w2, p.measures, n, seed), allow_bidirected=True)
 
 
+def _require_memory(need: int, what: str) -> None:
+    """Raise BudgetError when need bytes exceed the machine's physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise BudgetError(f"{what} needs about {need / 2**30:.1f} GiB, more than "
+                          f"the {memory / 2**30:.1f} GiB of physical memory")
+
+
 def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
     """int8 adjacency of one draw, filled one row of the upper triangle at a time.
 
@@ -321,11 +329,7 @@ def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    need = _SAMPLE_BYTES_PER_N2 * n * n
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > memory:
-        raise BudgetError(f"sampling n={n} needs about {need / 2**30:.1f} GiB, more than "
-                          f"the {memory / 2**30:.1f} GiB of physical memory")
+    _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"sampling n={n}")
     rng = np.random.default_rng(seed)
     labels = rng.choice(len(measures), size=n, p=measures)
     adj = np.zeros((n, n), dtype=np.int8)

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from .digraph import (
     Digraph,
     UndirectedRegularGraph,
+    _require_memory,
     bidirected_double_cover,
     cycle_digraph,
     oneway_double_cover,
@@ -37,6 +38,7 @@ from .spectra import (
     multiplicity_match,
     normalized_spectrum,
     one_blas_thread,
+    spectrum_to_json,
     step_spectrum,
 )
 from .stepkernel import (
@@ -46,6 +48,13 @@ from .stepkernel import (
     hom_density_step,
     nu_convergence_gaps,
 )
+
+# Resident bytes per n^2 that one converge cell adds at its peak (sample,
+# float64 copy and LAPACK workspace of the eigensolve): 19.5 at n = 1600 and
+# 18.8 at n = 2400 (17.0 traced). With nu-gaps the n x n step kernels, their
+# refinement and the composed operators raise it to 60.5 and 60.0 (49.1 traced).
+_CELL_BYTES_PER_N2 = 20
+_NU_GAPS_CELL_BYTES_PER_N2 = 61
 
 
 @dataclass(frozen=True)
@@ -178,6 +187,8 @@ def convergence_experiment(
     at the given epsilon. Cells are independent; workers > 1 threads them.
     Every eigensolve runs on one BLAS thread, so the parallelism is the
     pool's alone and the report's bytes do not depend on either thread count.
+    Before any sampling, a BudgetError rejects sizes whose concurrent cells at
+    the largest n would not fit in physical memory.
     """
     if not isinstance(w, StepDigraphon):
         raise TypeError("convergence_experiment requires a StepDigraphon")
@@ -188,6 +199,10 @@ def convergence_experiment(
         raise ValueError("sizes must be positive")
     if seeds_per_size < 1:
         raise ValueError("seeds_per_size must be at least 1")
+    n = sizes[-1]
+    concurrent = max(1, min(workers, len(sizes) * seeds_per_size))
+    per_n2 = _NU_GAPS_CELL_BYTES_PER_N2 if nu_gaps else _CELL_BYTES_PER_N2
+    _require_memory(concurrent * per_n2 * n * n, f"{concurrent} concurrent converge cell(s) at n={n}")
     limit = step_spectrum(w)
     for v, _ in limit.points:
         check_isolation(limit, v, epsilon)
@@ -345,13 +360,6 @@ def double_cover_example(
 # report serialization
 
 
-def _spectrum_obj(spec: Spectrum) -> dict:
-    return {
-        "points": [{"re": v.real, "im": v.imag, "mult": m} for v, m in spec.points],
-        "includes_zero_spectral_point": spec.includes_zero_spectral_point,
-    }
-
-
 def _ledger_obj(ledger: MultiplicityLedger) -> dict:
     return {
         "target_re": ledger.target.real,
@@ -364,7 +372,7 @@ def _ledger_obj(ledger: MultiplicityLedger) -> dict:
 
 def convergence_report_to_json(report: ConvergenceReport) -> dict:
     return {
-        "limit_spectrum": _spectrum_obj(report.limit_spectrum),
+        "limit_spectrum": spectrum_to_json(report.limit_spectrum),
         "median_hausdorff_by_n": {
             str(n): v for n, v in report.median_hausdorff_by_n().items()
         },
@@ -373,7 +381,7 @@ def convergence_report_to_json(report: ConvergenceReport) -> dict:
                 "n": row.n,
                 "seed": row.seed,
                 "hausdorff": row.hausdorff,
-                "observed": _spectrum_obj(row.observed),
+                "observed": spectrum_to_json(row.observed),
                 "ledgers": [_ledger_obj(l) for l in row.ledgers],
                 "nu_gaps": list(row.nu_gaps) if row.nu_gaps is not None else None,
             }

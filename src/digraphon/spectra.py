@@ -361,6 +361,13 @@ def singular_moment_bound(g: Digraph) -> bool:
 # serialization
 
 
+def spectrum_to_json(spec: Spectrum) -> dict:
+    return {
+        "points": [{"re": v.real, "im": v.imag, "mult": m} for v, m in spec.points],
+        "includes_zero_spectral_point": spec.includes_zero_spectral_point,
+    }
+
+
 def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV rows re,im,mult; a zero spectral point not listed among the points
     is flagged by a trailing row with mult=0."""

@@ -186,6 +186,14 @@ def _require_pattern_budget(h: Digraph, k: int, limit: int) -> None:
         raise BudgetError(f"pattern on {h.n} vertices exceeds the contraction alphabet")
 
 
+def _block_sum(factors, measures: np.ndarray, n: int) -> float:
+    """Sum over block maps x of prod_u measures[x_u] * prod m[x_u, x_v] over factors (m, u, v)."""
+    letters = string.ascii_letters
+    subs = [letters[u] + letters[v] for _, u, v in factors] + list(letters[:n])
+    operands = [m for m, _, _ in factors] + [measures] * n
+    return float(np.einsum(",".join(subs) + "->", *operands, optimize=("greedy", _EINSUM_MEM)))
+
+
 def hom_density_step(h: Digraph, w: StepKernel) -> float:
     """t(H, W) = sum over block maps of prod(measures) * prod(values on edges).
 
@@ -193,17 +201,7 @@ def hom_density_step(h: Digraph, w: StepKernel) -> float:
     integrand is constant on block cells, so the integral is a finite sum.
     """
     _require_pattern_budget(h, w.k, 8)
-    letters = string.ascii_letters
-    operands: list[np.ndarray] = []
-    subs: list[str] = []
-    for u, v in h.edges():
-        operands.append(w.values)
-        subs.append(letters[u] + letters[v])
-    for vtx in range(h.n):
-        operands.append(w.measures)
-        subs.append(letters[vtx])
-    spec = ",".join(subs) + "->"
-    return float(np.einsum(spec, *operands, optimize=("greedy", _EINSUM_MEM)))
+    return _block_sum([(w.values, u, v) for u, v in h.edges()], w.measures, h.n)
 
 
 def subgraph_density_step(h: Digraph, w: StepDigraphon) -> float:
@@ -221,26 +219,17 @@ def subgraph_density_step(h: Digraph, w: StepDigraphon) -> float:
     a = h.adj
     if np.any((a & a.T) != 0):
         return 0.0
-    letters = "abcde"
     non_edge = 1.0 - w.values - w.values.T
-    operands: list[np.ndarray] = []
-    subs: list[str] = []
+    factors = []
     for u in range(h.n):
         for v in range(u + 1, h.n):
-            if a[u, v] and not a[v, u]:
-                operands.append(w.values)
-                subs.append(letters[u] + letters[v])
-            elif a[v, u] and not a[u, v]:
-                operands.append(w.values)
-                subs.append(letters[v] + letters[u])
+            if a[u, v]:
+                factors.append((w.values, u, v))
+            elif a[v, u]:
+                factors.append((w.values, v, u))
             else:
-                operands.append(non_edge)
-                subs.append(letters[u] + letters[v])
-    for vtx in range(h.n):
-        operands.append(w.measures)
-        subs.append(letters[vtx])
-    spec = ",".join(subs) + "->"
-    integral = float(np.einsum(spec, *operands, optimize=("greedy", _EINSUM_MEM)))
+                factors.append((non_edge, u, v))
+    integral = _block_sum(factors, w.measures, h.n)
     return math.factorial(h.n) / automorphism_count(h) * integral
 
 
@@ -253,27 +242,18 @@ def hom_density_pair(h: Digraph, p: BidirectedStepPair) -> float:
     hom_density_step(H, collapse(P)).
     """
     _require_pattern_budget(h, p.k, 8)
-    letters = string.ascii_letters
     a = h.adj
     w_sum = p.w1 + p.w2
-    operands: list[np.ndarray] = []
-    subs: list[str] = []
+    factors = []
     for u in range(h.n):
         for v in range(u + 1, h.n):
             if a[u, v] and a[v, u]:
-                operands.append(p.w1)
-                subs.append(letters[u] + letters[v])
+                factors.append((p.w1, u, v))
             elif a[u, v]:
-                operands.append(w_sum)
-                subs.append(letters[u] + letters[v])
+                factors.append((w_sum, u, v))
             elif a[v, u]:
-                operands.append(w_sum)
-                subs.append(letters[v] + letters[u])
-    for vtx in range(h.n):
-        operands.append(p.measures)
-        subs.append(letters[vtx])
-    spec = ",".join(subs) + "->"
-    return float(np.einsum(spec, *operands, optimize=("greedy", _EINSUM_MEM)))
+                factors.append((w_sum, v, u))
+    return _block_sum(factors, p.measures, h.n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +314,18 @@ def _weighted(v: StepKernel) -> np.ndarray:
     return v.measures[:, None] * v.values * v.measures[None, :]
 
 
-def _exact_cut(v: StepKernel) -> CutNormWitness:
+def cut_norm(v: StepKernel) -> float:
+    """Cut norm: max over block subsets S, T of |sum_{S x T} mu_i mu_j V[i,j]|."""
+    return cut_norm_witness(v).value
+
+
+def cut_norm_witness(v: StepKernel) -> CutNormWitness:
+    """Cut norm plus the first optimal (S, T) in mask order (reproducible)."""
     if v.k > _CUT_NORM_MAX_BLOCKS:
         raise BudgetError(
             f"exact cut norm enumerates 2^k subsets; k={v.k} exceeds {_CUT_NORM_MAX_BLOCKS}"
         )
     return _cut_scan(_weighted(v))
-
-
-def cut_norm(v: StepKernel) -> float:
-    """Cut norm: max over block subsets S, T of |sum_{S x T} mu_i mu_j V[i,j]|."""
-    return _exact_cut(v).value
-
-
-def cut_norm_witness(v: StepKernel) -> CutNormWitness:
-    """Cut norm plus the first optimal (S, T) in mask order (reproducible)."""
-    return _exact_cut(v)
 
 
 def _require_same_structure(a: StepKernel, b: StepKernel) -> None:

@@ -38,6 +38,28 @@ def digraphon_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def pair_file(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
+    return str(path)
+
+
+@pytest.fixture
+def step_sequence_files(tmp_path):
+    """A limit kernel and three members approaching it, as (limit, [members])."""
+    base = StepDigraphon(np.full((2, 2), 0.2), uniform_measures(2))
+    limit_path = tmp_path / "limit.json"
+    limit_path.write_text(json.dumps(kernel_to_json(base)))
+    member_paths = []
+    for i in (1, 2, 3):
+        w = StepKernel(base.values + 2.0**-i * 0.05, base.measures, bound=1.0)
+        p = tmp_path / f"member{i}.json"
+        p.write_text(json.dumps(kernel_to_json(w)))
+        member_paths.append(str(p))
+    return str(limit_path), member_paths
+
+
 def test_spectrum_csv_rows(crossing_kernel_file, tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -107,11 +129,9 @@ def test_sample_edgelist_format(digraphon_file, tmp_path):
     assert g.n == 12
 
 
-def test_sample_from_pair(tmp_path):
-    pair_path = tmp_path / "pair.json"
-    pair_path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
+def test_sample_from_pair(pair_file, tmp_path):
     out = tmp_path / "out"
-    assert main(["sample", "--pair", str(pair_path), "--n", "16", "--seed", "3",
+    assert main(["sample", "--pair", pair_file, "--n", "16", "--seed", "3",
                  "--out-dir", str(out)]) == 0
     obj = json.loads((out / "sample_seed3.json").read_text())
     assert obj["allow_bidirected"] is True
@@ -123,31 +143,108 @@ def test_sample_from_pair(tmp_path):
     ("json", "json", "--pair", "f4753fe4c902af1abc90396bae9d1741b4ca00f3a03b7951862fb922ea34b73b"),
     ("csv", "txt", "--pair", "32c28e0d0919809420200a15559c8444d5a3de2763dec96d323e20b03f53a3e4"),
 ])
-def test_sample_bytes_are_pinned(digraphon_file, tmp_path, fmt, ext, flag, digest):
+def test_sample_bytes_are_pinned(digraphon_file, pair_file, tmp_path, fmt, ext, flag, digest):
     # digests of the vectorised sampler and the json.dumps writer at n = 300
-    if flag == "--pair":
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
-    else:
-        path = Path(digraphon_file)
+    path = pair_file if flag == "--pair" else digraphon_file
     out = tmp_path / "out"
-    assert main(["sample", flag, str(path), "--n", "300", "--seed", "7",
+    assert main(["sample", flag, path, "--n", "300", "--seed", "7",
                  "--format", fmt, "--out-dir", str(out)]) == 0
     assert hashlib.sha256((out / f"sample_seed7.{ext}").read_bytes()).hexdigest() == digest
 
 
-def test_exit_3_when_sample_exceeds_physical_memory(digraphon_file, tmp_path, capsys):
+# Every command x format at tiny sizes; "@name" stands for an input file.
+# Eigenvalues' last bits may change with the CPU or BLAS build (README), and
+# with them the spectral digests below.
+_GOLDEN_RUNS = {
+    "spectrum": (["spectrum", "--kernel", "@crossing"], "spectrum"),
+    "spectrum-tol": (["spectrum", "--kernel", "@crossing", "--tol", "1e-6"], "spectrum"),
+    "cutnorm": (["cutnorm", "--kernel", "@crossing"], "cutnorm"),
+    "trace-check": (["trace-check", "--kernel", "@crossing", "--ell-max", "6"], "trace_check"),
+    "sample-kernel": (["sample", "--kernel", "@digraphon", "--n", "40", "--seed", "3"],
+                      "sample_seed3"),
+    "sample-pair": (["sample", "--pair", "@pair", "--n", "40", "--seed", "3"], "sample_seed3"),
+    "converge": (["converge", "--kernel", "@digraphon", "--sizes", "10,20",
+                  "--seeds-per-size", "2", "--epsilon", "0.05", "--seed", "1"], "converge_seed1"),
+    "converge-nu-gaps": (["converge", "--kernel", "@digraphon", "--sizes", "10,20",
+                          "--seeds-per-size", "2", "--epsilon", "0.05", "--seed", "1",
+                          "--nu-gaps"], "converge_seed1"),
+    "step-converge": (["step-converge", "--kernel", "@limit", "--members", "@members",
+                       "--epsilon", "0.1"], "step_converge"),
+    "double-cover": (["double-cover", "--degrees", "3,4", "--seed", "4"], "double_cover_seed4"),
+    "double-cover-tol": (["double-cover", "--degrees", "3,4", "--seed", "4", "--tol", "0.01"],
+                         "double_cover_seed4"),
+}
+
+_GOLDEN_DIGESTS = {
+    ("spectrum", "json"): "d96db77b69e01a587c1b5ab5749d59166e3ddc1392dda2b5297d7396acabf577",
+    ("spectrum", "csv"): "e1743892385010337db977ab4feae41a5d20c521aa66692c2e9b87011ff52e72",
+    ("spectrum-tol", "json"): "e48c57660b76e7d473ba26eaf507fd31aa425bfc11dd435c18ab6831ca5c9f5a",
+    ("spectrum-tol", "csv"): "00af97b71cb7818601304dbcbb164d269ffb5d2c1c057110113da7932a499b99",
+    ("cutnorm", "json"): "f4ac415bfa4d0077d714b429db16134eb1735e8e34fb963a1416b61b357be099",
+    ("cutnorm", "csv"): "e3d7f2e1cbc0accac3c8b5fc2396a7fc41a5b628011105f2ffebd79834933608",
+    ("trace-check", "json"): "2672ba1d2993c81270c4f05e138194af81e76f89694987e0e054dae8ff25ea7a",
+    ("trace-check", "csv"): "c642e2db15bc78a38f436dd0ed47e5730c9260094d12edd5afa754f277c18400",
+    ("sample-kernel", "json"): "4e33c1dcf3ba012bc19e4a0ad84a47995e5e5e0b3a0c621ffe527f0699e39520",
+    ("sample-kernel", "csv"): "41630ce218d68f4bbdbf39337a03894ed0ffc1f2e78cad20abda93fa8d233f84",
+    ("sample-pair", "json"): "efee1294c5ba5c63b59fed05875b7ef288a41223947fd9d7143deb9ceb310778",
+    ("sample-pair", "csv"): "96c64786e079aec335cccf514b24b438f11dc07ffaf72cb0d3255b357e976547",
+    ("converge", "json"): "a74e5c55adc8b90a9170f08993a238f061a296f659e9165f954f8fdb6b214a4a",
+    ("converge", "csv"): "32e9a6d163ab9b65e4a301ac9095860060ae28464ba3a227c606f269e72ac599",
+    ("converge-nu-gaps", "json"): "468d389225d66310ac5a9f7e95d09b7562b4f57816b073e1475131028b502e5b",
+    ("converge-nu-gaps", "csv"): "25ce0260c2a5ba5d0e19b6e93cf3c5996e41285c72f0bd3a02cb73ef4121ac8f",
+    ("step-converge", "json"): "d5a6e1f5b28d89c261b885d1281e79e324da1f2d5270ab6f29329be6b1841b0e",
+    ("step-converge", "csv"): "7205f9d76ef8344b7a91ab4315a8320df47414bd938b93d8e6062ca969ea4c80",
+    ("double-cover", "json"): "72b73a01d8f7c927e943e0ae2933f6c69040da5c5f8c20fa721f94e92f060b34",
+    ("double-cover", "csv"): "9746064f4f9e69f7c9578fe5cea146635cc0044844fb42a11c8fc9df9e94c190",
+    ("double-cover-tol", "json"): "e762c4a3630b459286f5f3fede1a2db7db1e52997ad4ab03b42ea4fe475fb270",
+    ("double-cover-tol", "csv"): "4bb26096cf9bb24413ed8cd0ffe1f9d967d0a7642cd562b3091ffb7bd7135ed8",
+}
+
+
+@pytest.fixture
+def input_files(crossing_kernel_file, digraphon_file, pair_file, step_sequence_files):
+    limit, members = step_sequence_files
+    return {"@crossing": [crossing_kernel_file], "@digraphon": [digraphon_file],
+            "@pair": [pair_file], "@limit": [limit], "@members": members}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("run", list(_GOLDEN_RUNS))
+def test_output_bytes_are_pinned(run, fmt, input_files, tmp_path):
+    template, stem = _GOLDEN_RUNS[run]
+    argv = [part for arg in template for part in input_files.get(arg, [arg])]
+    ext = "json" if fmt == "json" else "txt" if template[0] == "sample" else "csv"
+    out = tmp_path / "out"
+    assert main([*argv, "--format", fmt, "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [f"{stem}.{ext}"]
+    digest = hashlib.sha256((out / f"{stem}.{ext}").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_DIGESTS[run, fmt]
+
+
+def _assert_budget_exit_before_allocating(argv, out, capsys):
     tracemalloc.start()
     try:
-        code = main(["sample", "--kernel", digraphon_file, "--n", "10000000", "--seed", "1",
-                     "--out-dir", str(tmp_path / "out")])
+        code = main([*argv, "--out-dir", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
     assert peak < 1 << 20
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
+
+
+def test_exit_3_when_sample_exceeds_physical_memory(digraphon_file, tmp_path, capsys):
+    _assert_budget_exit_before_allocating(
+        ["sample", "--kernel", digraphon_file, "--n", "10000000", "--seed", "1"],
+        tmp_path / "out", capsys)
+
+
+def test_exit_3_when_converge_exceeds_physical_memory(digraphon_file, tmp_path, capsys):
+    _assert_budget_exit_before_allocating(
+        ["converge", "--kernel", digraphon_file, "--sizes", "10000000",
+         "--seeds-per-size", "1", "--epsilon", "0.05", "--seed", "1"],
+        tmp_path / "out", capsys)
 
 
 def test_converge_report(digraphon_file, tmp_path):
@@ -164,18 +261,10 @@ def test_converge_report(digraphon_file, tmp_path):
     assert (out / "converge_seed1.json").read_bytes() == first
 
 
-def test_step_converge(tmp_path):
-    base = StepDigraphon(np.full((2, 2), 0.2), uniform_measures(2))
-    limit_path = tmp_path / "limit.json"
-    limit_path.write_text(json.dumps(kernel_to_json(base)))
-    member_paths = []
-    for i in (1, 2, 3):
-        w = StepKernel(base.values + 2.0**-i * 0.05, base.measures, bound=1.0)
-        p = tmp_path / f"member{i}.json"
-        p.write_text(json.dumps(kernel_to_json(w)))
-        member_paths.append(str(p))
+def test_step_converge(step_sequence_files, tmp_path):
+    limit_path, member_paths = step_sequence_files
     out = tmp_path / "out"
-    assert main(["step-converge", "--kernel", str(limit_path),
+    assert main(["step-converge", "--kernel", limit_path,
                  "--members", *member_paths, "--epsilon", "0.1",
                  "--out-dir", str(out), "--format", "csv"]) == 0
     rows = [ln for ln in (out / "step_converge.csv").read_text().splitlines()
@@ -218,16 +307,31 @@ def test_exit_2_when_converge_needs_digraphon(tmp_path, crossing_kernel_file):
                  "--out-dir", str(tmp_path)]) == 2
 
 
-def test_exit_2_on_missing_file(tmp_path):
-    assert main(["spectrum", "--kernel", str(tmp_path / "nope.json"),
-                 "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("run", ["spectrum", "cutnorm", "trace-check", "sample-pair",
+                                 "converge", "step-converge", "double-cover"])
+def test_exit_2_on_missing_file(run, tmp_path, capsys):
+    template, _ = _GOLDEN_RUNS[run]
+    argv = [str(tmp_path / "nope.json") if arg.startswith("@") else arg for arg in template]
+    out = tmp_path / "out"
+    if run == "double-cover":
+        # reads no input file: the missing path is its output directory's parent
+        (tmp_path / "nope.json").write_text("")
+        out = tmp_path / "nope.json" / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert set(json.loads(captured.err)) == {"error", "message"}
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["nope.json"] if run == "double-cover" else [])
 
 
-def test_exit_2_when_sample_given_both_inputs(tmp_path, digraphon_file):
-    pair_path = tmp_path / "pair.json"
-    pair_path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
-    assert main(["sample", "--kernel", digraphon_file, "--pair", str(pair_path),
-                 "--n", "5", "--seed", "0", "--out-dir", str(tmp_path)]) == 2
+def test_exit_2_when_sample_given_both_inputs(tmp_path, digraphon_file, pair_file, capsys):
+    assert main(["sample", "--kernel", digraphon_file, "--pair", pair_file,
+                 "--n", "5", "--seed", "0", "--out-dir", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ArgumentError" and "--kernel" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_on_budget_error(tmp_path):
@@ -259,6 +363,7 @@ def test_exit_2_on_bad_thread_count(tmp_path, capsys, monkeypatch):
     (["sample", "--kernel", "k.json", "--n", "5"], "--seed"),
     (["no-such-command"], "no-such-command"),
     ([], "command"),
+    (["sample", "--n", "5", "--seed", "1"], "--kernel --pair"),
 ])
 def test_exit_2_with_one_json_error_on_parse_errors(args, names, tmp_path, capsys):
     assert main([*args, "--out-dir", str(tmp_path)] if args else args) == 2

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from digraphon import (
+    BudgetError,
     IsolationError,
     NumericalError,
     StepDigraphon,
@@ -141,6 +143,25 @@ def test_convergence_experiment_validates_sizes():
         convergence_experiment(w, [], 2, epsilon=0.1, seed=0)
     with pytest.raises(TypeError):
         convergence_experiment(StepKernel([[0.5]], [1.0]), [5], 1, epsilon=0.1, seed=0)
+
+
+def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
+    # With 4 MB of physical memory one n = 400 cell fits (20 B/n^2, the
+    # sampler's own 3 B/n^2 too); two concurrent cells, or one with nu-gaps
+    # (61 B/n^2), are rejected before anything is sampled.
+    fake = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4000}
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    assert len(convergence_experiment(w, [400], 1, epsilon=0.05, seed=1, workers=2).rows) == 1
+
+    def never(*args):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(limits, "sample_w_random", never)
+    for kwargs in ({"workers": 2}, {"nu_gaps": True}):
+        with pytest.raises(BudgetError, match="physical memory"):
+            convergence_experiment(w, [10, 400], 1, epsilon=0.05, seed=1, **kwargs)
 
 
 def test_convergence_half_constant_medians_decrease():
