@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import string
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -159,13 +159,30 @@ def complete_bidirected_digraph(n: int) -> Digraph:
 # exact counting
 
 
+def _count_dtype(n: int, m: int) -> type:
+    """Exact dtype for a count of maps from m points into n: float64 or int64.
+
+    Such a count, and every partial sum on the way to it, is a count of
+    partial maps of at most n^m, so float64 (and its BLAS) is exact while
+    n^m < 2^53 and int64 below 2^62; callers refuse n^m >= 2^62.
+    """
+    return np.float64 if n**m < _FLOAT64_EXACT else np.int64
+
+
+def _block_sum(factors, measures: np.ndarray, n: int):
+    """Sum over maps x of n points of prod_u measures[x_u] * prod m[x_u, x_v] over factors (m, u, v)."""
+    letters = string.ascii_letters
+    subs = [letters[u] + letters[v] for _, u, v in factors] + list(letters[:n])
+    operands = [m for m, _, _ in factors] + [measures] * n
+    return np.einsum(",".join(subs) + "->", *operands, optimize=("greedy", _EINSUM_MEM))
+
+
 def trace_power(g: Digraph, ell: int) -> int:
     """Tr(A^ell): the number of closed walks of length ell, exactly.
 
-    Every partial sum on the way is a walk count of at most n^ell, so a
-    float64 BLAS product is exact while n^ell < 2^53; int64 (no BLAS) takes
-    over up to 2^62, and beyond that the call raises OverflowError instead
-    of wrapping. Tr(X Y) is summed as sum(X * Y^T), so A^ell is never formed.
+    Counted under _count_dtype's rule (float64 BLAS while n^ell < 2^53,
+    int64 up to 2^62); beyond that the call raises OverflowError instead of
+    wrapping. Tr(X Y) is summed as sum(X * Y^T), so A^ell is never formed.
     """
     if ell < 1:
         raise ValueError("power must be at least 1")
@@ -173,7 +190,7 @@ def trace_power(g: Digraph, ell: int) -> int:
         raise OverflowError(
             f"n^ell = {g.n}^{ell} exceeds the exact integer range of trace_power"
         )
-    a = g.adj.astype(np.float64 if g.n**ell < _FLOAT64_EXACT else np.int64)
+    a = g.adj.astype(_count_dtype(g.n, ell))
     half = np.linalg.matrix_power(a, ell // 2)
     rest = half @ a if ell % 2 else half
     return int(np.sum(half * rest.T))
@@ -189,15 +206,31 @@ def hom_count(h: Digraph, g: Digraph) -> int:
         raise BudgetError(
             "|G|^|H| exceeds the exact integer range; use hom_density_sampled instead"
         )
-    edge_list = h.edges()
-    if not edge_list:
-        return g.n**h.n
-    letters = "abcdefgh"
-    spec = ",".join(letters[u] + letters[v] for u, v in edge_list) + "->"
-    a64 = g.adj.astype(np.int64)
-    count = int(np.einsum(spec, *([a64] * len(edge_list)), optimize=("greedy", _EINSUM_MEM)))
-    touched = {u for uv in edge_list for u in uv}
-    return count * g.n ** (h.n - len(touched))
+    dtype = _count_dtype(g.n, h.n)
+    edges = h.edges()
+    a = g.adj.astype(dtype) if edges else None  # no n^2 copy for an edgeless pattern
+    return int(_block_sum([(a, u, v) for u, v in edges], np.ones(g.n, dtype), h.n))
+
+
+def _induced_count(h: Digraph, g: Digraph) -> int:
+    """Injective maps V(H) -> V(G) that carry edges to edges and non-edges to non-edges.
+
+    Each pair u < v of H contributes the 0/1 factor of G that holds at (i, j)
+    when i != j and A[i, j], A[j, i] equal H[u, v], H[v, u]: A*A^T, A - A*A^T,
+    A^T - A*A^T or J - I - A - A^T + A*A^T. The zero diagonal of every
+    factor keeps only injective maps in the block sum.
+    """
+    dtype = _count_dtype(g.n, h.n)
+    kinds, factors = {}, []
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            kind = (h.adj[u, v], h.adj[v, u])
+            if kind not in kinds:
+                f = (g.adj == kind[0]) & (g.adj.T == kind[1])
+                np.fill_diagonal(f, False)
+                kinds[kind] = f.astype(dtype)
+            factors.append((kinds[kind], u, v))
+    return int(_block_sum(factors, np.ones(g.n, dtype), h.n))
 
 
 def hom_density(h: Digraph, g: Digraph) -> float:
@@ -227,23 +260,17 @@ def hom_density_sampled(h: Digraph, g: Digraph, samples: int, seed: int) -> Samp
 
 
 def automorphism_count(h: Digraph) -> int:
-    """|Aut(H)| by permutation enumeration (patterns up to 8 vertices)."""
+    """|Aut(H)|: the induced copies of H in itself (patterns up to 8 vertices)."""
     if h.n > 8:
         raise BudgetError("automorphism enumeration limited to 8 vertices")
-    a = h.adj
-    count = 0
-    for p in permutations(range(h.n)):
-        perm = np.asarray(p)
-        if np.array_equal(a[np.ix_(perm, perm)], a):
-            count += 1
-    return count
+    return _induced_count(h, h)
 
 
 def subgraph_density(h: Digraph, g: Digraph) -> float:
     """d(H, G): probability that |H| random vertices of G induce a copy of H.
 
-    Returns 0 when |H| > |G|. Exact: every |H|-subset of V(G) is tested for
-    isomorphism against the permuted copies of H.
+    Returns 0 when |H| > |G|. Exact: each |H|-subset that induces a copy of
+    H carries |Aut(H)| induced embeddings, out of C(|G|, |H|) subsets.
     """
     m = h.n
     if m > 5:
@@ -253,27 +280,7 @@ def subgraph_density(h: Digraph, g: Digraph) -> float:
     total = math.comb(g.n, m)
     if total * m * m > 2 * 10**8:
         raise BudgetError("subset enumeration budget exceeded")
-
-    ah = h.adj
-    targets = set()
-    for p in permutations(range(m)):
-        code = 0
-        for i in range(m):
-            for j in range(m):
-                code = (code << 1) | int(ah[p[i], p[j]])
-        targets.add(code)
-
-    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in g.adj]
-    count = 0
-    for s in combinations(range(g.n), m):
-        code = 0
-        for a_ in s:
-            ra = rows[a_]
-            for b_ in s:
-                code = (code << 1) | ((ra >> b_) & 1)
-        if code in targets:
-            count += 1
-    return count / total
+    return (_induced_count(h, g) // automorphism_count(h)) / total
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +502,21 @@ def digraph_from_json(obj: dict) -> Digraph:
     for key in ("n", "allow_bidirected", "edges"):
         if key not in obj:
             raise ValueError(f"digraph JSON missing key {key!r}")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    n, bidirected = obj["n"], obj["allow_bidirected"]
+    # type(x) is int: JSON true/false load as bool, a subclass of int.
+    if type(n) is not int or n < 1:
         raise ValueError("digraph JSON field 'n' must be a positive integer")
+    if type(bidirected) is not bool:
+        raise ValueError("digraph JSON field 'allow_bidirected' must be true or false")
     adj = np.zeros((n, n), dtype=np.int8)
     for e in obj["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise ValueError("each edge must be a pair [i, j]")
         i, j = e
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+        if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge {e!r} out of range for n={n}")
         adj[i, j] = 1
-    return Digraph(adj, allow_bidirected=bool(obj["allow_bidirected"]))
+    return Digraph(adj, allow_bidirected=bidirected)
 
 
 def digraph_edgelist_text(g: Digraph) -> Iterator[str]:

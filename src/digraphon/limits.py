@@ -199,6 +199,8 @@ def convergence_experiment(
         raise ValueError("sizes must be positive")
     if seeds_per_size < 1:
         raise ValueError("seeds_per_size must be at least 1")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     n = sizes[-1]
     concurrent = max(1, min(workers, len(sizes) * seeds_per_size))
     per_n2 = _NU_GAPS_CELL_BYTES_PER_N2 if nu_gaps else _CELL_BYTES_PER_N2
@@ -249,6 +251,8 @@ def step_sequence_convergence(
     """
     if not ws:
         raise ValueError("sequence must be non-empty")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     limit = step_spectrum(w)
     for v, _ in limit.points:
         check_isolation(limit, v, epsilon)
@@ -296,8 +300,8 @@ def double_cover_example(
     spectra to {1/4, -1/4, 0}. Eigensolves run on one BLAS thread.
     """
     degrees = [int(d) for d in degrees]
-    if any(d < 2 for d in degrees):
-        raise ValueError("degrees must be at least 2")
+    if not degrees or any(d < 2 for d in degrees):
+        raise ValueError("degrees must be non-empty and at least 2")
     targets = np.array([0.25, -0.25, 0.0], dtype=np.complex128)
     rows = []
     for idx, d in enumerate(degrees):

@@ -84,28 +84,6 @@ def default_cluster_tol(n: int, max_abs: float) -> float:
     return max(1e-7, 1e-8 * n * max_abs)
 
 
-def _pair_conjugates(vals: np.ndarray) -> np.ndarray:
-    """Force the eigenvalue list of a real matrix to be exactly conjugate-closed.
-
-    Eigenvalues with positive and negative imaginary parts are matched in
-    sorted order and each pair is replaced by avg(re) +- avg(|im|) i; any
-    unmatched leftover is made real.
-    """
-    reals = [v for v in vals if v.imag == 0.0]
-    pos = sorted((v for v in vals if v.imag > 0.0), key=lambda z: (z.real, z.imag))
-    neg = sorted((v for v in vals if v.imag < 0.0), key=lambda z: (z.real, -z.imag))
-    out = [complex(v.real, 0.0) for v in reals]
-    for p, q in zip(pos, neg):
-        re = 0.5 * (p.real + q.real)
-        im = 0.5 * (p.imag - q.imag)
-        out.append(complex(re, im))
-        out.append(complex(re, -im))
-    for extra in pos[len(neg):] + neg[len(pos):]:
-        out.append(complex(extra.real, 0.0))
-    out.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(out, dtype=np.complex128)
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real square matrix, with multiplicity, conjugate-closed.
 
@@ -121,7 +99,12 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    vals = _pair_conjugates(vals)
+    # dgeev returns each complex pair with an equal real part and a negated
+    # imaginary part, so the sorted list must equal its sorted conjugates.
+    vals = np.sort_complex(vals)
+    vals.imag[vals.imag == 0.0] = 0.0
+    if not np.array_equal(vals, np.sort_complex(vals.conj())):
+        raise NumericalError("eigenvalue list is not closed under conjugation")
     residual = abs(vals.sum() - np.trace(a))
     scale = max(1.0, float(np.max(np.abs(a))))
     if residual > 1e-6 * a.shape[0] * scale:

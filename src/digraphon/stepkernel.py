@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import _EINSUM_MEM, Digraph, automorphism_count
+from .digraph import Digraph, _block_sum, automorphism_count
 from .errors import BudgetError, StructureError
 
 _MEASURE_TOL = 1e-12
@@ -186,14 +186,6 @@ def _require_pattern_budget(h: Digraph, k: int, limit: int) -> None:
         raise BudgetError(f"pattern on {h.n} vertices exceeds the contraction alphabet")
 
 
-def _block_sum(factors, measures: np.ndarray, n: int) -> float:
-    """Sum over block maps x of prod_u measures[x_u] * prod m[x_u, x_v] over factors (m, u, v)."""
-    letters = string.ascii_letters
-    subs = [letters[u] + letters[v] for _, u, v in factors] + list(letters[:n])
-    operands = [m for m, _, _ in factors] + [measures] * n
-    return float(np.einsum(",".join(subs) + "->", *operands, optimize=("greedy", _EINSUM_MEM)))
-
-
 def hom_density_step(h: Digraph, w: StepKernel) -> float:
     """t(H, W) = sum over block maps of prod(measures) * prod(values on edges).
 
@@ -201,7 +193,7 @@ def hom_density_step(h: Digraph, w: StepKernel) -> float:
     integrand is constant on block cells, so the integral is a finite sum.
     """
     _require_pattern_budget(h, w.k, 8)
-    return _block_sum([(w.values, u, v) for u, v in h.edges()], w.measures, h.n)
+    return float(_block_sum([(w.values, u, v) for u, v in h.edges()], w.measures, h.n))
 
 
 def subgraph_density_step(h: Digraph, w: StepDigraphon) -> float:
@@ -229,7 +221,7 @@ def subgraph_density_step(h: Digraph, w: StepDigraphon) -> float:
                 factors.append((w.values, v, u))
             else:
                 factors.append((non_edge, u, v))
-    integral = _block_sum(factors, w.measures, h.n)
+    integral = float(_block_sum(factors, w.measures, h.n))
     return math.factorial(h.n) / automorphism_count(h) * integral
 
 
@@ -253,7 +245,7 @@ def hom_density_pair(h: Digraph, p: BidirectedStepPair) -> float:
                 factors.append((w_sum, u, v))
             elif a[v, u]:
                 factors.append((w_sum, v, u))
-    return _block_sum(factors, p.measures, h.n)
+    return float(_block_sum(factors, p.measures, h.n))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +470,7 @@ def kernel_from_json(obj: dict) -> StepKernel:
     k = obj["k"]
     measures = np.asarray(obj["measures"], dtype=np.float64)
     values = np.asarray(obj["values"], dtype=np.float64)
-    if not isinstance(k, int) or values.shape != (k, k) or measures.shape != (k,):
+    if type(k) is not int or values.shape != (k, k) or measures.shape != (k,):
         raise ValueError("kernel JSON fields have inconsistent shapes")
     bound = obj.get("bound")
     cls = StepDigraphon if obj.get("type") == "digraphon" else StepKernel

@@ -356,6 +356,30 @@ def test_exit_2_on_bad_thread_count(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args,message", [
+    (["converge", "--kernel", "@zero", "--sizes", "10", "--seeds-per-size", "1",
+      "--epsilon", "0", "--seed", "1"], "epsilon must be positive"),
+    (["converge", "--kernel", "@zero", "--sizes", "10", "--seeds-per-size", "1",
+      "--epsilon", "-1", "--seed", "1"], "epsilon must be positive"),
+    (["step-converge", "--kernel", "@zero", "--members", "@zero", "--epsilon", "0"],
+     "epsilon must be positive"),
+    (["double-cover", "--degrees", "", "--seed", "1"], "degrees must be non-empty"),
+])
+def test_exit_2_on_nonpositive_epsilon_or_no_degrees(args, message, tmp_path, capsys):
+    # the zero kernel has no nonzero spectral point, so no isolation check sees epsilon
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(kernel_to_json(StepDigraphon(np.zeros((2, 2)), uniform_measures(2)))))
+    out = tmp_path / "out"
+    argv = [str(zero) if arg == "@zero" else arg for arg in args]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "ValueError"
+    assert message in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,names", [
     (["converge", "--kernel", "k.json", "--sizes", "50,x", "--seeds-per-size", "1",
       "--epsilon", "0.1", "--seed", "1"], "--sizes"),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from digraphon import (
     BudgetError,
     Digraph,
+    automorphism_count,
     bidirected_double_cover,
     complete_bidirected_digraph,
     cycle_digraph,
@@ -245,6 +247,130 @@ def test_subgraph_density_budget():
 
 
 # ---------------------------------------------------------------------------
+# the one contraction against frozen copies of the earlier counters
+
+
+def frozen_hom_count(h, g):
+    """The earlier hom_count: one int64 einsum over the edges, times n per untouched vertex."""
+    edge_list = h.edges()
+    if not edge_list:
+        return g.n**h.n
+    letters = "abcdefgh"
+    spec = ",".join(letters[u] + letters[v] for u, v in edge_list) + "->"
+    a64 = g.adj.astype(np.int64)
+    count = int(np.einsum(spec, *([a64] * len(edge_list)), optimize=("greedy", 1 << 26)))
+    touched = {u for uv in edge_list for u in uv}
+    return count * g.n ** (h.n - len(touched))
+
+
+def frozen_automorphism_count(h):
+    """The earlier automorphism_count: every permutation of V(H), tested."""
+    a = h.adj
+    count = 0
+    for p in itertools.permutations(range(h.n)):
+        perm = np.asarray(p)
+        if np.array_equal(a[np.ix_(perm, perm)], a):
+            count += 1
+    return count
+
+
+def frozen_subgraph_density(h, g):
+    """The earlier subgraph_density: bit codes of every |H|-subset against H's permuted codes."""
+    m = h.n
+    if m > g.n:
+        return 0.0
+    total = math.comb(g.n, m)
+    ah = h.adj
+    targets = set()
+    for p in itertools.permutations(range(m)):
+        code = 0
+        for i in range(m):
+            for j in range(m):
+                code = (code << 1) | int(ah[p[i], p[j]])
+        targets.add(code)
+    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in g.adj]
+    count = 0
+    for s in itertools.combinations(range(g.n), m):
+        code = 0
+        for a_ in s:
+            ra = rows[a_]
+            for b_ in s:
+                code = (code << 1) | ((ra >> b_) & 1)
+        if code in targets:
+            count += 1
+    return count / total
+
+
+def random_pair_states(rng, n, bidirected):
+    """Digraph whose pairs are none/forward/backward (or both, if bidirected), in random proportions."""
+    states = 4 if bidirected else 3
+    weights = rng.random(states) + 0.05
+    adj = np.zeros((n, n), dtype=np.int8)
+    for u, v in itertools.combinations(range(n), 2):
+        s = int(rng.choice(states, p=weights / weights.sum()))
+        adj[u, v], adj[v, u] = s & 1, s >> 1
+    return Digraph(adj, allow_bidirected=bidirected)
+
+
+def count_corpus(seed, count, m_max, n_max):
+    """(H, G) pairs: random and edgeless patterns, directed and bidirected hosts, m > n and n = 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, m_max + 1)), int(rng.integers(1, n_max + 1))
+        yield (random_pair_states(rng, m, bool(rng.integers(2))),
+               random_pair_states(rng, n, bool(rng.integers(2))))
+    for m in range(1, m_max + 1):
+        for n in (1, m, n_max):
+            yield empty_digraph(m), empty_digraph(n)
+            yield empty_digraph(m), complete_bidirected_digraph(n)
+            yield complete_bidirected_digraph(m), complete_bidirected_digraph(n)
+
+
+def test_hom_count_equals_the_frozen_einsum():
+    for h, g in count_corpus(11, 300, 5, 13):
+        assert hom_count(h, g) == frozen_hom_count(h, g)
+
+
+def test_subgraph_density_equals_the_frozen_subset_loop():
+    for h, g in count_corpus(12, 300, 5, 13):
+        new, old = subgraph_density(h, g), frozen_subgraph_density(h, g)
+        assert new == old and type(new) is float
+
+
+def test_automorphism_count_equals_the_frozen_permutation_loop():
+    rng = np.random.default_rng(13)
+    patterns = [random_pair_states(rng, int(rng.integers(1, 8)), bool(rng.integers(2)))
+                for _ in range(60)]
+    patterns += [random_pair_states(rng, 8, bidirected) for bidirected in (False, True)]
+    patterns += [empty_digraph(8), complete_bidirected_digraph(8), cycle_digraph(8),
+                 empty_digraph(1), cycle_digraph(2)]
+    for h in patterns:
+        assert automorphism_count(h) == frozen_automorphism_count(h)
+
+
+@pytest.mark.parametrize("n,dtype", [(50, np.float64), (500, np.int64)])
+def test_counts_are_exact_on_both_sides_of_the_float64_switch(n, dtype):
+    # 50^6 < 2^53 <= 500^6 < 2^62
+    assert digraph._count_dtype(n, 6) is dtype
+    rng = np.random.default_rng(n)
+    pairs, flip = np.triu(rng.random((n, n)) < 0.5, 1), rng.random((n, n)) < 0.5
+    g = Digraph((pairs & flip) | (pairs & ~flip).T)
+    path = Digraph(np.eye(6, k=1, dtype=np.int8))
+    assert hom_count(path, g) == frozen_hom_count(path, g)
+    assert hom_count(cycle_digraph(6), g) == trace_power(g, 6)
+
+
+def test_counting_budgets_are_unchanged():
+    with pytest.raises(BudgetError):
+        hom_count(empty_digraph(6), empty_digraph(1300))  # 1300^6 > 2^62
+    with pytest.raises(BudgetError):
+        automorphism_count(empty_digraph(9))
+    with pytest.raises(BudgetError):
+        subgraph_density(cycle_digraph(5), empty_digraph(100))  # C(100, 5) * 25 > 2e8
+    assert subgraph_density(cycle_digraph(5), empty_digraph(60)) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # random models
 
 
@@ -476,6 +602,21 @@ def test_digraph_json_rejects_malformed():
         digraph_from_json({"n": 2, "allow_bidirected": False, "edges": [[0, 5]]})
     with pytest.raises(ValueError):
         digraph_from_edgelist("0 1\n")
+
+
+def test_digraph_json_requires_a_boolean_allow_bidirected():
+    with pytest.raises(ValueError, match="allow_bidirected"):
+        digraph_from_json({"n": 2, "allow_bidirected": "no", "edges": [[0, 1], [1, 0]]})
+
+
+def test_digraph_json_rejects_boolean_edge_indices():
+    with pytest.raises(ValueError, match="out of range"):
+        digraph_from_json({"n": 2, "allow_bidirected": False, "edges": [[True, False]]})
+
+
+def test_digraph_json_rejects_a_boolean_vertex_count():
+    with pytest.raises(ValueError, match="'n'"):
+        digraph_from_json({"n": True, "allow_bidirected": False, "edges": []})
 
 
 def dumped(g, extra):

@@ -3,6 +3,7 @@ import pytest
 
 from digraphon import (
     IsolationError,
+    NumericalError,
     Spectrum,
     bidirected_crossing_pair,
     bidirected_double_cover,
@@ -64,6 +65,50 @@ def test_eigenvalues_exact_conjugate_closure():
         vals = eigenvalues(rng.uniform(-1, 1, (n, n)))
         conj_set = sorted_vals(np.conj(vals))
         assert np.array_equal(sorted_vals(vals), conj_set)
+
+
+def frozen_pair_conjugates(vals):
+    """The earlier conjugate pairing: match the two half-planes in sorted order, average each pair."""
+    reals = [v for v in vals if v.imag == 0.0]
+    pos = sorted((v for v in vals if v.imag > 0.0), key=lambda z: (z.real, z.imag))
+    neg = sorted((v for v in vals if v.imag < 0.0), key=lambda z: (z.real, -z.imag))
+    out = [complex(v.real, 0.0) for v in reals]
+    for p, q in zip(pos, neg):
+        re = 0.5 * (p.real + q.real)
+        im = 0.5 * (p.imag - q.imag)
+        out.append(complex(re, im))
+        out.append(complex(re, -im))
+    for extra in pos[len(neg):] + neg[len(pos):]:
+        out.append(complex(extra.real, 0.0))
+    out.sort(key=lambda z: (z.real, z.imag))
+    return np.asarray(out, dtype=np.complex128)
+
+
+def test_eigenvalues_bytes_equal_the_frozen_conjugate_pairing():
+    rng = np.random.default_rng(4)
+    for n in [*range(1, 25), 60, 150]:
+        shift = np.roll(np.eye(n), 1, axis=1)
+        nilpotent = np.triu(np.ones((n, n)), 1)
+        zero_one = (rng.random((n, n)) < 0.3).astype(float)
+        np.fill_diagonal(zero_one, 0.0)
+        for m in (shift, nilpotent, zero_one, np.zeros((n, n)),
+                  np.triu(rng.integers(-3, 4, (n, n))), rng.integers(-5, 6, (n, n))):
+            expected = frozen_pair_conjugates(np.linalg.eigvals(np.asarray(m, dtype=float)))
+            assert eigenvalues(m).tobytes() == expected.tobytes()
+
+
+def test_eigenvalues_real_eigenvalues_have_positive_zero_imaginary_parts(monkeypatch):
+    vals = np.array([complex(2.0, -0.0), complex(-1.0, -0.0), complex(0.5, 0.0)])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: vals)
+    out = eigenvalues(np.diag([2.0, -1.0, 0.5]))
+    assert out.tobytes() == frozen_pair_conjugates(vals).tobytes()
+    assert not np.signbit(out.imag).any()
+
+
+def test_eigenvalues_rejects_a_list_not_closed_under_conjugation(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([1j, 1j, -2j]))
+    with pytest.raises(NumericalError, match="conjugation"):
+        eigenvalues(np.zeros((3, 3)))
 
 
 def test_eigenvalues_trace_identities_sweep():

@@ -634,3 +634,8 @@ def test_kernel_json_rejects_malformed():
         kernel_from_json({"k": 2, "measures": [0.5, 0.5]})
     with pytest.raises(ValueError):
         kernel_from_json({"k": 3, "measures": [0.5, 0.5], "values": [[0.0]]})
+
+
+def test_kernel_json_rejects_a_boolean_block_count():
+    with pytest.raises(ValueError, match="shapes"):
+        kernel_from_json({"k": True, "measures": [1.0], "values": [[0.5]]})
