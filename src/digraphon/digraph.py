@@ -218,18 +218,20 @@ def _induced_count(h: Digraph, g: Digraph) -> int:
     Each pair u < v of H contributes the 0/1 factor of G that holds at (i, j)
     when i != j and A[i, j], A[j, i] equal H[u, v], H[v, u]: A*A^T, A - A*A^T,
     A^T - A*A^T or J - I - A - A^T + A*A^T. The zero diagonal of every
-    factor keeps only injective maps in the block sum.
+    factor keeps only injective maps in the block sum. Each distinct factor
+    is an n x n count array built through an n x n bool mask, 9 bytes per
+    n^2, and all of them must fit in physical memory (else BudgetError).
     """
     dtype = _count_dtype(g.n, h.n)
-    kinds, factors = {}, []
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            kind = (h.adj[u, v], h.adj[v, u])
-            if kind not in kinds:
-                f = (g.adj == kind[0]) & (g.adj.T == kind[1])
-                np.fill_diagonal(f, False)
-                kinds[kind] = f.astype(dtype)
-            factors.append((kinds[kind], u, v))
+    pairs = [(u, v, (h.adj[u, v], h.adj[v, u])) for u in range(h.n) for v in range(u + 1, h.n)]
+    kinds = dict.fromkeys(kind for _, _, kind in pairs)
+    _require_memory(len(kinds) * 9 * g.n * g.n,
+                    f"{len(kinds)} induced-count factor(s) at n={g.n}")
+    for kind in kinds:
+        f = (g.adj == kind[0]) & (g.adj.T == kind[1])
+        np.fill_diagonal(f, False)
+        kinds[kind] = f.astype(dtype)
+    factors = [(kinds[kind], u, v) for u, v, kind in pairs]
     return int(_block_sum(factors, np.ones(g.n, dtype), h.n))
 
 

@@ -1,8 +1,10 @@
 """Complex spectra with algebraic multiplicities, and Hausdorff diagnostics.
 
 Eigenvalues come from LAPACK's dense non-symmetric solver (balancing, then
-Hessenberg reduction, then implicitly shifted QR with deflation); conjugate
-symmetry of real-matrix spectra is re-enforced exactly on top of it. Floating
+Hessenberg reduction, then implicitly shifted QR with deflation); a spectrum
+that is not exactly closed under conjugation, or whose sum strays from the
+trace, raises NumericalError. Matrices known to be exactly symmetric may take
+LAPACK's symmetric solver instead, under the same checks. Floating
 eigenvalue lists are turned into (value, multiplicity) pairs by single-linkage
 clustering at an explicit tolerance.
 """
@@ -84,19 +86,24 @@ def default_cluster_tol(n: int, max_abs: float) -> float:
     return max(1e-7, 1e-8 * n * max_abs)
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real square matrix, with multiplicity, conjugate-closed.
-
-    The returned array is sorted by (real, imaginary) part and satisfies the
-    trace identities sum(lam^p) = Tr(M^p) up to the solver's accuracy.
-    """
+def _finite_square(m) -> np.ndarray:
+    """m as a float64 array; ValueError unless it is square, non-empty and finite."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _checked_solve(solve, a: np.ndarray) -> np.ndarray:
+    """solve(a), sorted by (real, imaginary) part and checked against the trace.
+
+    A LAPACK failure, a list not closed under conjugation or a sum that
+    strays from Tr(a) raises NumericalError.
+    """
     try:
-        vals = np.linalg.eigvals(a)
+        vals = solve(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
     # dgeev returns each complex pair with an equal real part and a negated
@@ -112,6 +119,28 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
             f"eigenvalue sum deviates from the trace by {residual:.3e}"
         )
     return vals
+
+
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real square matrix, with multiplicity, conjugate-closed.
+
+    The returned array is sorted by (real, imaginary) part and satisfies the
+    trace identities sum(lam^p) = Tr(M^p) up to the solver's accuracy.
+    """
+    return _checked_solve(np.linalg.eigvals, _finite_square(m))
+
+
+def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """eigenvalues(m) for an exactly symmetric m, from the symmetric solver.
+
+    LAPACK's dsyevd (tridiagonal reduction, then divide and conquer) returns
+    real values, so every imaginary part is +0.0. Raises ValueError unless
+    m equals its transpose exactly.
+    """
+    a = _finite_square(m)
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be exactly symmetric")
+    return _checked_solve(np.linalg.eigvalsh, a)
 
 
 @functools.cache

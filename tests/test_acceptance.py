@@ -40,6 +40,7 @@ from digraphon import (
     uniform_measures,
     verify_trace_formula,
 )
+from digraphon import spectra
 
 # Digraphs produced by criteria 1, 4 and 5, re-checked by criterion 9.
 _GENERATED: list[Digraph] = []
@@ -316,7 +317,9 @@ def test_criterion_9_squared_moment_bound_everywhere():
         for _ in range(20):
             w = _random_digraphon(rng, int(rng.integers(1, 4)))
             digraphs.append(sample_w_random(w, int(rng.integers(5, 50)), int(rng.integers(2**32))))
-    violations = sum(0 if singular_moment_bound(g) else 1 for g in digraphs)
+    # about 100 dense solves up to n = 800, on one BLAS thread as in the experiments
+    with spectra.one_blas_thread():
+        violations = sum(0 if singular_moment_bound(g) else 1 for g in digraphs)
     _report(
         9,
         "squared-eigenvalue moment bound holds on every generated digraph",

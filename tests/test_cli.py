@@ -194,10 +194,10 @@ _GOLDEN_DIGESTS = {
     ("converge-nu-gaps", "csv"): "25ce0260c2a5ba5d0e19b6e93cf3c5996e41285c72f0bd3a02cb73ef4121ac8f",
     ("step-converge", "json"): "d5a6e1f5b28d89c261b885d1281e79e324da1f2d5270ab6f29329be6b1841b0e",
     ("step-converge", "csv"): "7205f9d76ef8344b7a91ab4315a8320df47414bd938b93d8e6062ca969ea4c80",
-    ("double-cover", "json"): "72b73a01d8f7c927e943e0ae2933f6c69040da5c5f8c20fa721f94e92f060b34",
-    ("double-cover", "csv"): "9746064f4f9e69f7c9578fe5cea146635cc0044844fb42a11c8fc9df9e94c190",
-    ("double-cover-tol", "json"): "e762c4a3630b459286f5f3fede1a2db7db1e52997ad4ab03b42ea4fe475fb270",
-    ("double-cover-tol", "csv"): "4bb26096cf9bb24413ed8cd0ffe1f9d967d0a7642cd562b3091ffb7bd7135ed8",
+    ("double-cover", "json"): "ddc98c64fad7c1fbbddceed81f84059d0156ab59542002fe64bea531b26b640a",
+    ("double-cover", "csv"): "3692ea2457c52ff103c7db2d2391d047fbece34f86953c49af429a5cad9864a6",
+    ("double-cover-tol", "json"): "5f7e85c416a9ef84178395f431b8a008c27d2a5e4565fb5acf32e5272cccd1a3",
+    ("double-cover-tol", "csv"): "647a89a7c9394c58dbc9b9f1f3ee32172e5675ead6ab9715b34c28456a7fb306",
 }
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,26 @@ def test_subgraph_density_classes_partition():
 def test_subgraph_density_budget():
     with pytest.raises(BudgetError):
         subgraph_density(empty_digraph(6), empty_digraph(10))
+
+
+def test_induced_count_budgets_its_factors_before_building_them(monkeypatch):
+    # With 1 MB of physical memory two n = 200 factors fit (9 B/n^2 each) and
+    # three do not; the third pair type is refused before any factor is built.
+    fake = {"SC_PHYS_PAGES": 250, "SC_PAGE_SIZE": 4000}
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
+    g = cycle_digraph(200)
+    path = Digraph(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))  # pair types (1, 0), (0, 0)
+    assert subgraph_density(path, g) == 200 / math.comb(200, 3)
+    in_star = Digraph(np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]]))  # and (0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="physical memory"):
+            subgraph_density(in_star, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 200 * 200
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,38 @@ def test_eigenvalues_scale_equivariance():
         assert np.allclose(sorted_vals(c * base), scaled, atol=1e-8)
 
 
+def test_symmetric_eigenvalues_validates_input():
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    flipped = m.copy()
+    flipped[0, 2] = -2.0
+    for bad in (np.ones((2, 3)), np.zeros((0, 0)), np.array([[np.nan]]),
+                np.array([[0.0, np.inf], [np.inf, 0.0]]), flipped):
+        with pytest.raises(ValueError):
+            spectra._symmetric_eigenvalues(bad)
+
+
+def test_symmetric_eigenvalues_sorted_with_positive_zero_imaginary_parts():
+    vals = spectra._symmetric_eigenvalues(np.array([[0.0, 2.0], [2.0, -3.0]]))
+    assert vals.dtype == np.complex128
+    assert np.array_equal(vals, np.sort_complex(vals))
+    assert np.array_equal(vals.real, [-4.0, 1.0])
+    assert not np.signbit(vals.imag).any() and not vals.imag.any()
+
+
+def test_symmetric_eigenvalues_match_the_general_solver():
+    rng = np.random.default_rng(16)
+    for n in range(1, 201):
+        zero_one = np.triu(rng.random((n, n)) < 0.4).astype(float)
+        floats = np.triu(rng.uniform(-3, 3, (n, n)))
+        for upper in (zero_one, floats):
+            m = upper + np.triu(upper, 1).T
+            sym = spectra._symmetric_eigenvalues(m)
+            assert np.array_equal(sym, np.sort_complex(sym))
+            assert not np.signbit(sym.imag).any()
+            err = np.max(np.abs(sym - eigenvalues(m)))
+            assert err <= 1e-12 * n * float(np.max(np.abs(m)))
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
