@@ -31,6 +31,11 @@ _FLOAT64_EXACT = 2**53
 # Cap (in elements) on intermediate tensors of einsum contractions.
 _EINSUM_MEM = 1 << 26
 
+# random_regular_graph raises GenerationError after this many fresh stub
+# pairings, each re-drawing its leftover stubs at most _PAIRING_ROUNDS times.
+_PAIRING_RESTARTS = 10_000
+_PAIRING_ROUNDS = 1000
+
 # Peak traced bytes per n^2 of one W-random draw: the int8 adjacency, the
 # copy Digraph keeps and one n^2 validation temporary (3.0 measured at n=4000).
 _SAMPLE_BYTES_PER_N2 = 3
@@ -140,11 +145,11 @@ def cycle_digraph(ell: int) -> Digraph:
     return Digraph(adj, allow_bidirected=(ell == 2))
 
 
-def empty_digraph(n: int, allow_bidirected: bool = False) -> Digraph:
+def empty_digraph(n: int) -> Digraph:
     """Digraph on n vertices with no edges."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    return Digraph(np.zeros((n, n), dtype=np.int8), allow_bidirected=allow_bidirected)
+    return Digraph(np.zeros((n, n), dtype=np.int8))
 
 
 def complete_bidirected_digraph(n: int) -> Digraph:
@@ -175,6 +180,23 @@ def _block_sum(factors, measures: np.ndarray, n: int):
     subs = [letters[u] + letters[v] for _, u, v in factors] + list(letters[:n])
     operands = [m for m, _, _ in factors] + [measures] * n
     return np.einsum(",".join(subs) + "->", *operands, optimize=("greedy", _EINSUM_MEM))
+
+
+def _pair_factors(h: Digraph, both, single, neither) -> list:
+    """_block_sum factors for the pairs u < v of H, in row-major order.
+
+    An antiparallel pair gives (both, u, v), a single edge (single, tail,
+    head) and a non-edge (neither, u, v); factors that are None are left out.
+    """
+    kinds = {(1, 1): both, (1, 0): single, (0, 0): neither}
+    factors = []
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            tail, head = (v, u) if h.adj[v, u] > h.adj[u, v] else (u, v)
+            f = kinds[h.adj[tail, head], h.adj[head, tail]]
+            if f is not None:
+                factors.append((f, tail, head))
+    return factors
 
 
 def trace_power(g: Digraph, ell: int) -> int:
@@ -215,23 +237,23 @@ def hom_count(h: Digraph, g: Digraph) -> int:
 def _induced_count(h: Digraph, g: Digraph) -> int:
     """Injective maps V(H) -> V(G) that carry edges to edges and non-edges to non-edges.
 
-    Each pair u < v of H contributes the 0/1 factor of G that holds at (i, j)
-    when i != j and A[i, j], A[j, i] equal H[u, v], H[v, u]: A*A^T, A - A*A^T,
-    A^T - A*A^T or J - I - A - A^T + A*A^T. The zero diagonal of every
-    factor keeps only injective maps in the block sum. Each distinct factor
-    is an n x n count array built through an n x n bool mask, 9 bytes per
-    n^2, and all of them must fit in physical memory (else BudgetError).
+    Each pair of H contributes one of three 0/1 factors of G, whose zero
+    diagonal keeps only injective maps: A*A^T for an antiparallel pair,
+    A - A*A^T read from tail to head for a single edge, J - I - A - A^T + A*A^T
+    for a non-edge. Each distinct factor is an n x n count array built through
+    an n x n bool mask, 9 bytes per n^2, and all of them must fit in physical
+    memory (else BudgetError).
     """
     dtype = _count_dtype(g.n, h.n)
-    pairs = [(u, v, (h.adj[u, v], h.adj[v, u])) for u in range(h.n) for v in range(u + 1, h.n)]
-    kinds = dict.fromkeys(kind for _, _, kind in pairs)
+    pairs = _pair_factors(h, (1, 1), (1, 0), (0, 0))
+    kinds = dict.fromkeys(kind for kind, _, _ in pairs)
     _require_memory(len(kinds) * 9 * g.n * g.n,
                     f"{len(kinds)} induced-count factor(s) at n={g.n}")
     for kind in kinds:
         f = (g.adj == kind[0]) & (g.adj.T == kind[1])
         np.fill_diagonal(f, False)
         kinds[kind] = f.astype(dtype)
-    factors = [(kinds[kind], u, v) for u, v, kind in pairs]
+    factors = [(kinds[kind], u, v) for kind, u, v in pairs]
     return int(_block_sum(factors, np.ones(g.n, dtype), h.n))
 
 
@@ -367,10 +389,10 @@ def _has_suitable(edges: set, potential: dict) -> bool:
     return False
 
 
-def _try_pairing(n: int, degree: int, rng: np.random.Generator, max_rounds: int = 1000):
+def _try_pairing(n: int, degree: int, rng: np.random.Generator):
     edges: set[tuple[int, int]] = set()
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_rounds):
+    for _ in range(_PAIRING_ROUNDS):
         if stubs.size == 0:
             return edges
         rng.shuffle(stubs)
@@ -390,9 +412,7 @@ def _try_pairing(n: int, degree: int, rng: np.random.Generator, max_rounds: int 
     return None
 
 
-def random_regular_graph(
-    n2: int, degree: int, seed: int, max_restarts: int = 10_000
-) -> UndirectedRegularGraph:
+def random_regular_graph(n2: int, degree: int, seed: int) -> UndirectedRegularGraph:
     """Random simple degree-regular graph on n2 vertices via stub pairing.
 
     Pairs stubs uniformly and re-draws only the stubs whose pair would create
@@ -407,7 +427,7 @@ def random_regular_graph(
     if (n2 * degree) % 2 != 0:
         raise ValueError("n2 * degree must be even")
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(_PAIRING_RESTARTS):
         edges = _try_pairing(n2, degree, rng)
         if edges is None:
             continue
@@ -417,7 +437,7 @@ def random_regular_graph(
             adj[v, u] = 1
         return UndirectedRegularGraph(adj, degree)
     raise GenerationError(
-        f"no simple {degree}-regular graph on {n2} vertices found in {max_restarts} restarts"
+        f"no simple {degree}-regular graph on {n2} vertices found in {_PAIRING_RESTARTS} restarts"
     )
 
 

@@ -48,6 +48,7 @@ from .stepkernel import (
     common_refinement,
     hom_density_step,
     nu_convergence_gaps,
+    step_from_digraph,
 )
 
 # Resident bytes per n^2 that one converge cell adds at its peak (sample,
@@ -56,6 +57,8 @@ from .stepkernel import (
 # refinement and the composed operators raise it to 60.5 and 60.0 (49.1 traced).
 _CELL_BYTES_PER_N2 = 20
 _NU_GAPS_CELL_BYTES_PER_N2 = 61
+_IMAG_TOL = 1e-8  # largest imaginary residue of a spectral power sum taken as rounding
+_COVER_CYCLES = (2, 3, 4)  # cycle lengths whose densities a double-cover row records
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class DoubleCoverReport:
 # trace identity
 
 
-def cycle_density_via_spectrum(w: StepKernel, ell: int, imag_tol: float = 1e-8) -> float:
+def cycle_density_via_spectrum(w: StepKernel, ell: int) -> float:
     """Cycle density of length ell from the spectrum: sum of mult * lam^ell.
 
     The identity with the block-enumeration density holds for ell >= 3;
@@ -134,9 +137,9 @@ def cycle_density_via_spectrum(w: StepKernel, ell: int, imag_tol: float = 1e-8) 
             stacklevel=2,
         )
     total = step_spectrum(w).power_sum(ell)
-    if abs(total.imag) > imag_tol:
+    if abs(total.imag) > _IMAG_TOL:
         raise NumericalError(
-            f"imaginary residue {total.imag:.3e} of the power sum exceeds {imag_tol:.1e}"
+            f"imaginary residue {total.imag:.3e} of the power sum exceeds {_IMAG_TOL:.1e}"
         )
     return float(total.real)
 
@@ -226,8 +229,6 @@ def convergence_experiment(
         )
         gaps = None
         if nu_gaps:
-            from .stepkernel import step_from_digraph
-
             rn, rw = common_refinement(step_from_digraph(g), w)
             gaps = nu_convergence_gaps(rn, rw)
         return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
@@ -287,7 +288,6 @@ def _match_multisets(observed: np.ndarray, expected: np.ndarray) -> float:
 def double_cover_example(
     degrees: tuple[int, ...] | list[int],
     seed: int,
-    ells: tuple[int, ...] = (2, 3, 4),
     spectral_tol: float | None = None,
 ) -> DoubleCoverReport:
     """Spectra and cycle densities of the two double covers of regular graphs.
@@ -297,10 +297,10 @@ def double_cover_example(
     has {+d, -d} plus {+i lam, -i lam} over the eigenvalues whose eigenvectors
     are orthogonal to the all-ones vector. Both identities are verified by
     optimal matching (a NumericalError reports a violation), and the rows
-    record cycle densities and the Hausdorff distance of the normalized
-    spectra to {1/4, -1/4, 0}. A and the bidirected cover are symmetric and
-    go to the symmetric solver; the one-way cover goes to dgeev. Eigensolves
-    run on one BLAS thread.
+    record the cycle densities of lengths 2, 3 and 4 and the Hausdorff
+    distance of the normalized spectra to {1/4, -1/4, 0}. A and the bidirected
+    cover are symmetric and go to the symmetric solver; the one-way cover goes
+    to dgeev. Eigensolves run on one BLAS thread.
     """
     degrees = [int(d) for d in degrees]
     if not degrees or any(d < 2 for d in degrees):
@@ -338,8 +338,8 @@ def double_cover_example(
             )
 
         # t(C_ell, H) = Tr(A^ell) / n^ell: the cycle's homomorphism count, exactly
-        dens_bi = {ell: trace_power(h_bi, ell) / h_bi.n**ell for ell in ells}
-        dens_one = {ell: trace_power(h_one, ell) / h_one.n**ell for ell in ells}
+        dens_bi = {ell: trace_power(h_bi, ell) / h_bi.n**ell for ell in _COVER_CYCLES}
+        dens_one = {ell: trace_power(h_one, ell) / h_one.n**ell for ell in _COVER_CYCLES}
         # the normalized spectra reuse the eigenvalues solved above
         h_bi_dist = hausdorff_distance(
             _adjacency_spectrum(eig_bi, h_bi.n, h_bi.n, None).point_set(), targets)

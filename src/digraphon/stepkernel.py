@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph, _block_sum, automorphism_count
+from .digraph import Digraph, _block_sum, _pair_factors, automorphism_count
 from .errors import BudgetError, StructureError
 
 _MEASURE_TOL = 1e-12
@@ -208,19 +208,9 @@ def subgraph_density_step(h: Digraph, w: StepDigraphon) -> float:
         raise TypeError("subgraph_density_step requires a StepDigraphon")
     if h.n > 5:
         raise BudgetError("induced-density patterns limited to 5 vertices")
-    a = h.adj
-    if np.any((a & a.T) != 0):
+    if np.any(h.adj & h.adj.T):
         return 0.0
-    non_edge = 1.0 - w.values - w.values.T
-    factors = []
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if a[u, v]:
-                factors.append((w.values, u, v))
-            elif a[v, u]:
-                factors.append((w.values, v, u))
-            else:
-                factors.append((non_edge, u, v))
+    factors = _pair_factors(h, None, w.values, 1.0 - w.values - w.values.T)
     integral = float(_block_sum(factors, w.measures, h.n))
     return math.factorial(h.n) / automorphism_count(h) * integral
 
@@ -234,18 +224,7 @@ def hom_density_pair(h: Digraph, p: BidirectedStepPair) -> float:
     hom_density_step(H, collapse(P)).
     """
     _require_pattern_budget(h, p.k, 8)
-    a = h.adj
-    w_sum = p.w1 + p.w2
-    factors = []
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if a[u, v] and a[v, u]:
-                factors.append((p.w1, u, v))
-            elif a[u, v]:
-                factors.append((w_sum, u, v))
-            elif a[v, u]:
-                factors.append((w_sum, v, u))
-    return float(_block_sum(factors, p.measures, h.n))
+    return float(_block_sum(_pair_factors(h, p.w1, p.w1 + p.w2, None), p.measures, h.n))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,20 @@ def test_exit_3_when_converge_exceeds_physical_memory(digraphon_file, tmp_path, 
         tmp_path / "out", capsys)
 
 
+def test_exit_3_when_no_regular_graph_is_found(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(digraphon.digraph, "_PAIRING_RESTARTS", 0)
+    with pytest.raises(digraphon.GenerationError, match="in 0 restarts"):
+        digraphon.random_regular_graph(8, 3, seed=1)
+    out = tmp_path / "out"
+    assert main(["double-cover", "--degrees", "3", "--seed", "4", "--out-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    error = json.loads(lines[0])
+    assert error["error"] == "GenerationError" and "regular graph" in error["message"]
+    assert not out.exists()
+
+
 def test_converge_report(digraphon_file, tmp_path):
     out = tmp_path / "out"
     args = ["converge", "--kernel", digraphon_file, "--sizes", "10,20",

@@ -256,11 +256,15 @@ def test_induced_count_budgets_its_factors_before_building_them(monkeypatch):
     g = cycle_digraph(200)
     path = Digraph(np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))  # pair types (1, 0), (0, 0)
     assert subgraph_density(path, g) == 200 / math.comb(200, 3)
-    in_star = Digraph(np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]]))  # and (0, 1)
+    # 0 -> 1 and 2 -> 1 point opposite ways in row-major order; both read as
+    # the one single-edge type (1, 0) from tail to head, so two factors fit
+    in_star = Digraph(np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]]))
+    assert subgraph_density(in_star, g) == 0.0
+    all_three = Digraph(np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]]), allow_bidirected=True)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="physical memory"):
-            subgraph_density(in_star, g)
+            subgraph_density(all_three, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

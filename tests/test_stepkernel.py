@@ -11,6 +11,7 @@ from digraphon import (
     StepDigraphon,
     StepKernel,
     StructureError,
+    automorphism_count,
     bidirected_crossing_pair,
     collapse,
     common_refinement,
@@ -278,6 +279,84 @@ def test_hom_density_pair_matches_collapse_for_simple_patterns():
             assert hom_density_pair(h, p) == pytest.approx(
                 hom_density_step(h, collapse(p)), abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# the pair-type factor list against frozen copies of the earlier pair loops
+
+
+def frozen_subgraph_density_step(h, w):
+    """The earlier subgraph_density_step after its checks: its own pair loop."""
+    a = h.adj
+    if np.any((a & a.T) != 0):
+        return 0.0
+    non_edge = 1.0 - w.values - w.values.T
+    factors = []
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            if a[u, v]:
+                factors.append((w.values, u, v))
+            elif a[v, u]:
+                factors.append((w.values, v, u))
+            else:
+                factors.append((non_edge, u, v))
+    integral = float(sk._block_sum(factors, w.measures, h.n))
+    return math.factorial(h.n) / automorphism_count(h) * integral
+
+
+def frozen_hom_density_pair(h, p):
+    """The earlier hom_density_pair after its budget check: its own pair loop."""
+    a = h.adj
+    w_sum = p.w1 + p.w2
+    factors = []
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            if a[u, v] and a[v, u]:
+                factors.append((p.w1, u, v))
+            elif a[u, v]:
+                factors.append((w_sum, u, v))
+            elif a[v, u]:
+                factors.append((w_sum, v, u))
+    return float(sk._block_sum(factors, p.measures, h.n))
+
+
+def random_pattern(rng, m, states):
+    """Pattern whose pairs u < v draw none/forward/backward(/both) uniformly from states."""
+    adj = np.zeros((m, m), dtype=np.int8)
+    for u, v in itertools.combinations(range(m), 2):
+        s = int(rng.integers(states))
+        adj[u, v], adj[v, u] = s & 1, s >> 1
+    return Digraph(adj, allow_bidirected=states == 4)
+
+
+def test_pair_densities_equal_the_frozen_pair_loops():
+    rng = np.random.default_rng(17)
+    seen = {3: set(), 4: set()}
+    for _ in range(150):
+        k, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        measures = rng.dirichlet(np.ones(k))
+        # three outcomes per unordered block pair {i < j}: i -> j, j -> i, none
+        d = np.moveaxis(rng.dirichlet(np.ones(3), size=(k, k)), 2, 0)
+        values = np.triu(d[0], 1) + np.triu(d[1], 1).T + np.diag(rng.random(k) / 2)
+        w = StepDigraphon(values, measures)
+        assert not np.array_equal(w.values, w.values.T) or k == 1
+        # four per pair: both, i -> j, j -> i, none; a diagonal block pair splits
+        # its mass between both and the two equal single directions
+        d = np.moveaxis(rng.dirichlet(np.ones(4), size=(k, k)), 2, 0)
+        dd = rng.dirichlet(np.ones(3), size=k)
+        w1 = np.triu(d[0], 1) + np.triu(d[0], 1).T + np.diag(dd[:, 0])
+        w2 = np.triu(d[1], 1) + np.triu(d[2], 1).T + np.diag(dd[:, 1] / 2)
+        p = BidirectedStepPair(w1, w2, measures)
+        for states, density, frozen, kernel in (
+            (3, subgraph_density_step, frozen_subgraph_density_step, w),
+            (4, hom_density_pair, frozen_hom_density_pair, p),
+        ):
+            h = random_pattern(rng, m, states)
+            seen[states].update((int(h.adj[u, v]), int(h.adj[v, u]))
+                                for u, v in itertools.combinations(range(m), 2))
+            new, old = density(h, kernel), frozen(h, kernel)
+            assert new == old and type(new) is float
+    assert len(seen[3]) == 3 and len(seen[4]) == 4
 
 
 # ---------------------------------------------------------------------------
