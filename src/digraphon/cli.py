@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable, Iterable
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -30,7 +31,7 @@ from .limits import (
     trace_checks_to_csv,
     verify_trace_formula,
 )
-from .spectra import spectrum_to_csv, spectrum_to_json, step_spectrum
+from .spectra import _csv_text, spectrum_to_csv, spectrum_to_json, step_spectrum
 from .stepkernel import cut_norm_witness, kernel_from_json, pair_from_json
 
 _EXIT_OK = 0
@@ -100,8 +101,8 @@ def _step_converge(args: argparse.Namespace):
 
 
 def _cutnorm_csv(witness) -> str:
-    rows, cols = (" ".join(map(str, blocks)) for blocks in (witness.row_blocks, witness.col_blocks))
-    return f'value,row_blocks,col_blocks\n{witness.value:.17g},"{rows}","{cols}"\n'
+    blocks = (f'"{" ".join(map(str, b))}"' for b in (witness.row_blocks, witness.col_blocks))
+    return _csv_text(witness._fields, [(witness.value, *blocks)])
 
 
 def _commands() -> dict[str, _Command]:
@@ -113,14 +114,11 @@ def _commands() -> dict[str, _Command]:
             _json(spectrum_to_json), spectrum_to_csv, "spectrum", False),
         "cutnorm": _Command(
             lambda a: cut_norm_witness(_kernel(a)),
-            _json(lambda w: {"value": w.value, "row_blocks": list(w.row_blocks),
-                             "col_blocks": list(w.col_blocks)}),
+            _json(lambda w: w._asdict()),
             _cutnorm_csv, "cutnorm", False),
         "trace-check": _Command(
             lambda a: verify_trace_formula(_kernel(a), a.ell_max),
-            _json(lambda reports: {"checks": [
-                {"ell": r.ell, "lhs": r.lhs, "rhs": r.rhs, "abs_error": r.abs_error}
-                for r in reports]}),
+            _json(lambda reports: {"checks": [asdict(r) for r in reports]}),
             trace_checks_to_csv, "trace_check", False),
         "sample": _Command(
             _sample, digraph_json_text, digraph_edgelist_text, "sample", True, "txt"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,6 +32,7 @@ from .spectra import (
     MultiplicityLedger,
     Spectrum,
     _adjacency_spectrum,
+    _csv_text,
     _symmetric_eigenvalues,
     check_isolation,
     eigenvalues,
@@ -305,6 +306,8 @@ def double_cover_example(
     degrees = [int(d) for d in degrees]
     if not degrees or any(d < 2 for d in degrees):
         raise ValueError("degrees must be non-empty and at least 2")
+    if spectral_tol is not None and not 0 < spectral_tol < np.inf:
+        raise ValueError("spectral_tol must be positive and finite")
     targets = np.array([0.25, -0.25, 0.0], dtype=np.complex128)
     rows = []
     for idx, d in enumerate(degrees):
@@ -394,78 +397,37 @@ def convergence_report_to_json(report: ConvergenceReport) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def convergence_report_to_csv(report: ConvergenceReport) -> str:
     """Flat rows: n, seed, hausdorff, then matched/expected per limit point."""
-    lines = []
-    for i, (v, _) in enumerate(report.limit_spectrum.points):
-        lines.append(f"# lambda{i} = {_fmt(v.real)}{v.imag:+.17g}j")
-    header = ["n", "seed", "hausdorff"]
-    for i in range(len(report.limit_spectrum.points)):
-        header += [f"lambda{i}_matched", f"lambda{i}_expected"]
+    points = report.limit_spectrum.points
+    header = ["n", "seed", "hausdorff",
+              *(f"lambda{i}_{c}" for i in range(len(points)) for c in ("matched", "expected"))]
     if report.rows and report.rows[0].nu_gaps is not None:
         header += ["nu_gap_limit", "nu_gap_self"]
-    lines.append(",".join(header))
-    for row in report.rows:
-        cells = [str(row.n), "" if row.seed is None else str(row.seed), _fmt(row.hausdorff)]
-        for ledger in row.ledgers:
-            cells += [str(ledger.matched_mass), str(ledger.expected)]
-        if row.nu_gaps is not None:
-            cells += [_fmt(row.nu_gaps[0]), _fmt(row.nu_gaps[1])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = ((row.n, row.seed, row.hausdorff,
+             *(c for ledger in row.ledgers for c in (ledger.matched_mass, ledger.expected)),
+             *(row.nu_gaps or ())) for row in report.rows)
+    return _csv_text(header, rows, [(f"lambda{i}", v) for i, (v, _) in enumerate(points)])
 
 
 def trace_checks_to_csv(reports: list[TraceCheckReport]) -> str:
-    lines = ["ell,lhs,rhs,abs_error"]
-    lines.extend(
-        f"{r.ell},{_fmt(r.lhs)},{_fmt(r.rhs)},{_fmt(r.abs_error)}" for r in reports
-    )
-    return "\n".join(lines) + "\n"
+    return _csv_text([f.name for f in fields(TraceCheckReport)], map(astuple, reports))
 
 
 def double_cover_report_to_json(report: DoubleCoverReport) -> dict:
     return {
         "limit_points": [{"re": t.real, "im": t.imag} for t in report.limit_points],
-        "rows": [
-            {
-                "degree": row.degree,
-                "seed": row.seed,
-                "spectrum_match_bidirected": row.spectrum_match_bidirected,
-                "spectrum_match_oneway": row.spectrum_match_oneway,
-                "cycle_density_bidirected": {
-                    str(k): v for k, v in sorted(row.cycle_density_bidirected.items())
-                },
-                "cycle_density_oneway": {
-                    str(k): v for k, v in sorted(row.cycle_density_oneway.items())
-                },
-                "hausdorff_bidirected": row.hausdorff_bidirected,
-                "hausdorff_oneway": row.hausdorff_oneway,
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
 
 
 def double_cover_report_to_csv(report: DoubleCoverReport) -> str:
     ells = sorted(report.rows[0].cycle_density_bidirected) if report.rows else []
-    header = ["degree", "seed", "spectrum_match_bidirected", "spectrum_match_oneway"]
-    header += [f"t_c{ell}_bidirected" for ell in ells]
-    header += [f"t_c{ell}_oneway" for ell in ells]
-    header += ["hausdorff_bidirected", "hausdorff_oneway"]
-    lines = [",".join(header)]
-    for row in report.rows:
-        cells = [
-            str(row.degree),
-            str(row.seed),
-            _fmt(row.spectrum_match_bidirected),
-            _fmt(row.spectrum_match_oneway),
-        ]
-        cells += [_fmt(row.cycle_density_bidirected[ell]) for ell in ells]
-        cells += [_fmt(row.cycle_density_oneway[ell]) for ell in ells]
-        cells += [_fmt(row.hausdorff_bidirected), _fmt(row.hausdorff_oneway)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["degree", "seed", "spectrum_match_bidirected", "spectrum_match_oneway",
+              *(f"t_c{ell}_{cover}" for cover in ("bidirected", "oneway") for ell in ells),
+              "hausdorff_bidirected", "hausdorff_oneway"]
+    rows = ((row.degree, row.seed, row.spectrum_match_bidirected, row.spectrum_match_oneway,
+             *(t[ell] for t in (row.cycle_density_bidirected, row.cycle_density_oneway)
+               for ell in ells),
+             row.hausdorff_bidirected, row.hausdorff_oneway) for row in report.rows)
+    return _csv_text(header, rows)

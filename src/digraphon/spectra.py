@@ -231,8 +231,8 @@ def cluster_multiplicities(points, tol: float) -> Spectrum:
     Clusters are merged until all centroids are pairwise further apart than
     tol; each centroid is the mean of its member values (with repetition).
     """
-    if tol <= 0:
-        raise ValueError("clustering tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("clustering tolerance must be positive and finite")
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if pts.size == 0:
         return Spectrum(())
@@ -380,18 +380,30 @@ def spectrum_to_json(spec: Spectrum) -> dict:
     }
 
 
+def _csv_cell(x) -> str:
+    """A float with 17 significant digits (round-trips exactly), a complex as two
+    such floats re+imj, None as an empty cell, anything else by str."""
+    if isinstance(x, complex):
+        return f"{x.real:.17g}{x.imag:+.17g}j"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _csv_text(header, rows, comments=()) -> str:
+    """A '# name = value' line per comment pair, the header, then one line per row."""
+    lines = [f"# {name} = {_csv_cell(value)}" for name, value in comments]
+    lines += [",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_to_csv(spec: Spectrum) -> str:
     """CSV rows re,im,mult; a zero spectral point not listed among the points
     is flagged by a trailing row with mult=0."""
-    lines = ["re,im,mult"]
-    has_explicit_zero = False
-    for v, m in spec.points:
-        if v == 0:
-            has_explicit_zero = True
-        lines.append(f"{v.real:.17g},{v.imag:.17g},{m}")
-    if spec.includes_zero_spectral_point and not has_explicit_zero:
-        lines.append("0,0,0")
-    return "\n".join(lines) + "\n"
+    rows = [(v.real, v.imag, m) for v, m in spec.points]
+    if spec.includes_zero_spectral_point and not any(v == 0 for v, _ in spec.points):
+        rows.append((0, 0, 0))
+    return _csv_text(("re", "im", "mult"), rows)
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
@@ -406,7 +418,11 @@ def spectrum_from_csv(text: str) -> Spectrum:
             raise ValueError(f"malformed spectrum row: {ln!r}")
         re, im, mult = float(parts[0]), float(parts[1]), int(parts[2])
         value = complex(re, im)
+        if not np.isfinite(value):
+            raise ValueError(f"spectrum row is not finite: {ln!r}")
         if mult == 0:
+            if value != 0:
+                raise ValueError(f"a mult=0 row flags the zero point and must be 0,0,0: {ln!r}")
             zero_flag = True
         else:
             points.append((value, mult))

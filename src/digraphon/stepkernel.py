@@ -50,8 +50,8 @@ class StepKernel:
         if abs(float(m.sum()) - 1.0) > _MEASURE_TOL:
             raise ValueError("block measures must sum to 1")
         b = float(np.max(np.abs(v))) if self.bound is None else float(self.bound)
-        if np.max(np.abs(v)) > b + 1e-12:
-            raise ValueError("bound is not a valid sup-norm certificate for values")
+        if not math.isfinite(b) or np.max(np.abs(v)) > b + 1e-12:
+            raise ValueError("bound is not a finite sup-norm certificate for values")
         v.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -440,6 +440,15 @@ def kernel_to_json(w: StepKernel) -> dict:
     return obj
 
 
+def _json_numbers(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float64 array; ValueError unless every entry is a JSON number."""
+    a = np.asarray(obj[key], dtype=object)
+    # type(x) is int or float: JSON true/false load as bool, a subclass of int.
+    if not all(type(x) in (int, float) for x in a.flat):
+        raise ValueError(f"JSON field {key!r} must hold numbers only")
+    return a.astype(np.float64)
+
+
 def kernel_from_json(obj: dict) -> StepKernel:
     if not isinstance(obj, dict):
         raise ValueError("kernel JSON must be an object")
@@ -447,12 +456,14 @@ def kernel_from_json(obj: dict) -> StepKernel:
         if key not in obj:
             raise ValueError(f"kernel JSON missing key {key!r}")
     k = obj["k"]
-    measures = np.asarray(obj["measures"], dtype=np.float64)
-    values = np.asarray(obj["values"], dtype=np.float64)
+    measures = _json_numbers(obj, "measures")
+    values = _json_numbers(obj, "values")
     if type(k) is not int or values.shape != (k, k) or measures.shape != (k,):
         raise ValueError("kernel JSON fields have inconsistent shapes")
-    bound = obj.get("bound")
-    cls = StepDigraphon if obj.get("type") == "digraphon" else StepKernel
+    if "type" in obj and obj["type"] != "digraphon":
+        raise ValueError("kernel JSON field 'type' must be \"digraphon\" or absent")
+    bound = None if obj.get("bound") is None else float(_json_numbers(obj, "bound"))
+    cls = StepDigraphon if "type" in obj else StepKernel
     return cls(values, measures, bound=bound)
 
 
@@ -470,8 +481,4 @@ def pair_from_json(obj: dict) -> BidirectedStepPair:
     for key in ("measures", "W1", "W2"):
         if key not in obj:
             raise ValueError(f"pair JSON missing key {key!r}")
-    return BidirectedStepPair(
-        np.asarray(obj["W1"], dtype=np.float64),
-        np.asarray(obj["W2"], dtype=np.float64),
-        np.asarray(obj["measures"], dtype=np.float64),
-    )
+    return BidirectedStepPair(*(_json_numbers(obj, key) for key in ("W1", "W2", "measures")))

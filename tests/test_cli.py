@@ -394,6 +394,25 @@ def test_exit_2_on_nonpositive_epsilon_or_no_degrees(args, message, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["spectrum", "--kernel", "@crossing", "--tol", "nan"], "positive and finite"),
+    (["spectrum", "--kernel", "@crossing", "--tol", "inf"], "positive and finite"),
+    (["double-cover", "--degrees", "3", "--seed", "0", "--tol", "nan"], "positive and finite"),
+    (["double-cover", "--degrees", "3", "--seed", "0", "--tol", "-1"], "positive and finite"),
+])
+def test_exit_2_on_nan_infinite_or_negative_tolerance(args, message, crossing_kernel_file,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [crossing_kernel_file if arg == "@crossing" else arg for arg in args]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "ValueError"
+    assert message in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,names", [
     (["converge", "--kernel", "k.json", "--sizes", "50,x", "--seeds-per-size", "1",
       "--epsilon", "0.1", "--seed", "1"], "--sizes"),

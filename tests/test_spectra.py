@@ -500,6 +500,12 @@ def test_spectrum_csv_rejects_bad_header():
         spectrum_from_csv("a,b,c\n1,0,1\n")
 
 
+@pytest.mark.parametrize("row", ["0.5,0,0", "0,0.5,0", "nan,0,1", "1,inf,1"])
+def test_spectrum_csv_rejects_a_nonzero_flag_row_and_non_finite_values(row):
+    with pytest.raises(ValueError):
+        spectrum_from_csv(f"re,im,mult\n{row}\n")
+
+
 def test_overlapping_blas_pins_restore_once_the_last_exits():
     fns = spectra._openblas_threads()
     if fns is None:

@@ -718,3 +718,26 @@ def test_kernel_json_rejects_malformed():
 def test_kernel_json_rejects_a_boolean_block_count():
     with pytest.raises(ValueError, match="shapes"):
         kernel_from_json({"k": True, "measures": [1.0], "values": [[0.5]]})
+
+
+_KERNEL = {"k": 2, "measures": [0.5, 0.5], "values": [[0.0, 0.25], [0.25, 0.0]], "bound": 1.0}
+_PAIR = {"measures": [0.5, 0.5], "W1": [[0.0, 0.5], [0.5, 0.0]], "W2": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("load,base,key,bad", [
+    (kernel_from_json, _KERNEL, "values", [[True, False], [False, True]]),
+    (kernel_from_json, _KERNEL, "values", [["0", "0.25"], ["0.25", "0"]]),
+    (kernel_from_json, _KERNEL, "measures", [0.5, "0.5"]),
+    (kernel_from_json, _KERNEL, "bound", True),
+    (kernel_from_json, _KERNEL, "bound", "0.5"),
+    (kernel_from_json, _KERNEL, "bound", float("nan")),
+    (kernel_from_json, _KERNEL, "type", "digrafon"),
+    (kernel_from_json, _KERNEL, "type", None),
+    (pair_from_json, _PAIR, "W1", [[False, True], [True, False]]),
+    (pair_from_json, _PAIR, "W2", [["0", "0"], ["0", "0"]]),
+    (pair_from_json, _PAIR, "measures", ["0.5", 0.5]),
+])
+def test_kernel_and_pair_json_reject_non_numbers_and_unknown_types(load, base, key, bad):
+    load(base)  # the unaltered object loads
+    with pytest.raises(ValueError):
+        load({**base, key: bad})
