@@ -10,7 +10,6 @@ import json
 import math
 import os
 import string
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -39,6 +38,11 @@ _PAIRING_ROUNDS = 1000
 # Peak traced bytes per n^2 of one W-random draw: the int8 adjacency, the
 # copy Digraph keeps and one n^2 validation temporary (3.0 measured at n=4000).
 _SAMPLE_BYTES_PER_N2 = 3
+# random_regular_graph peaks at 32 bytes per stub (n2 * degree) in a pairing
+# round plus 3 per n2^2 (adjacency, validation): traced and resident peaks are
+# 16.7 per n2^2 at degree n2 / 2 (n2 = 2000, 4000), 9.0 at n2 / 4, 3.0 at 10.
+_PAIRING_BYTES_PER_STUB = 32
+_REGULAR_BYTES_PER_N2 = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,41 +378,34 @@ def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
     return adj
 
 
-def _has_suitable(edges: set, potential: dict) -> bool:
-    # True when the leftover stubs can still be paired into some new edge.
-    if not potential:
-        return True
-    nodes = list(potential)
-    for s1 in nodes:
-        for s2 in nodes:
-            if s1 == s2:
-                break
-            a, b = (s2, s1) if s1 > s2 else (s1, s2)
-            if (a, b) not in edges:
-                return True
-    return False
+def _try_pairing(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | None:
+    """One pairing attempt: the adjacency, or None when the leftovers are stuck.
 
-
-def _try_pairing(n: int, degree: int, rng: np.random.Generator):
-    edges: set[tuple[int, int]] = set()
+    A pair of consecutive shuffled stubs fails when it is a loop, in adj or a
+    repeat within its round; failed stubs go on grouped by vertex in order of
+    first appearance.
+    """
+    adj = np.zeros((n, n), dtype=np.int8)
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(_PAIRING_ROUNDS):
         if stubs.size == 0:
-            return edges
+            return adj
         rng.shuffle(stubs)
-        failed: dict[int, int] = defaultdict(int)
-        it = iter(stubs.tolist())
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                failed[s1] += 1
-                failed[s2] += 1
-        if not _has_suitable(edges, failed):
+        pairs = stubs.reshape(-1, 2)
+        pairs.sort(axis=1)
+        u, v = pairs.T
+        ok = np.zeros(u.size, dtype=bool)
+        ok[np.unique(u * n + v, return_index=True)[1]] = True
+        ok &= (u != v) & (adj[u, v] == 0)
+        adj[u[ok], v[ok]] = 1
+        adj[v[ok], u[ok]] = 1
+        vertices, first, counts = np.unique(pairs[~ok], return_index=True, return_counts=True)
+        order = np.argsort(first)
+        left = vertices[order]
+        # stuck when no two distinct leftover vertices are still non-adjacent
+        if left.size and adj[np.ix_(left, left)].sum() == left.size * (left.size - 1):
             return None
-        stubs = np.array([v for v, c in failed.items() for _ in range(c)], dtype=np.int64)
+        stubs = np.repeat(left, counts[order])
     return None
 
 
@@ -416,9 +413,10 @@ def random_regular_graph(n2: int, degree: int, seed: int) -> UndirectedRegularGr
     """Random simple degree-regular graph on n2 vertices via stub pairing.
 
     Pairs stubs uniformly and re-draws only the stubs whose pair would create
-    a loop or multi-edge, restarting from scratch when no valid pairing of the
-    leftovers exists. Approximately uniform over regular graphs; regularity
-    itself is always exact. Deterministic given the seed.
+    a loop or multi-edge, restarting from scratch when no two leftover
+    vertices can still be joined. Approximately uniform over regular graphs;
+    regularity itself is always exact. Deterministic given the seed. Budgeted
+    against physical memory before allocating (BudgetError).
     """
     if n2 < 2 or n2 % 2 != 0:
         raise ValueError("vertex count must be a positive even integer")
@@ -426,16 +424,13 @@ def random_regular_graph(n2: int, degree: int, seed: int) -> UndirectedRegularGr
         raise ValueError("degree must satisfy 1 <= degree < n2")
     if (n2 * degree) % 2 != 0:
         raise ValueError("n2 * degree must be even")
+    _require_memory((_PAIRING_BYTES_PER_STUB * degree + _REGULAR_BYTES_PER_N2 * n2) * n2,
+                    f"a {degree}-regular graph on {n2} vertices")
     rng = np.random.default_rng(seed)
     for _ in range(_PAIRING_RESTARTS):
-        edges = _try_pairing(n2, degree, rng)
-        if edges is None:
-            continue
-        adj = np.zeros((n2, n2), dtype=np.int8)
-        for u, v in edges:
-            adj[u, v] = 1
-            adj[v, u] = 1
-        return UndirectedRegularGraph(adj, degree)
+        adj = _try_pairing(n2, degree, rng)
+        if adj is not None:
+            return UndirectedRegularGraph(adj, degree)
     raise GenerationError(
         f"no simple {degree}-regular graph on {n2} vertices found in {_PAIRING_RESTARTS} restarts"
     )
@@ -563,11 +558,11 @@ def digraph_from_edgelist(text: str) -> Digraph:
         body_start = i + 1
         header = dict(part.split("=", 1) for part in ln[1:].split() if "=" in part)
         if "n" in header and "bidirected" in header:
-            try:
-                n = int(header["n"])
-                bidirected = bool(int(header["bidirected"]))
-            except ValueError as exc:
-                raise ValueError(f"malformed edge-list header: {ln!r}") from exc
+            if not (header["n"].isdecimal() and int(header["n"]) > 0):
+                raise ValueError(f"edge-list header {ln!r}: n must be a positive integer")
+            if header["bidirected"] not in ("0", "1"):
+                raise ValueError(f"edge-list header {ln!r}: bidirected must be 0 or 1")
+            n, bidirected = int(header["n"]), header["bidirected"] == "1"
     if n is None:
         raise ValueError("edge list requires a '# n=<n> bidirected=<0|1>' header")
     adj = np.zeros((n, n), dtype=np.int8)

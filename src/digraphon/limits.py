@@ -16,8 +16,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .digraph import (
-    Digraph,
-    UndirectedRegularGraph,
     _require_memory,
     bidirected_double_cover,
     cycle_digraph,
@@ -58,6 +56,10 @@ from .stepkernel import (
 # refinement and the composed operators raise it to 60.5 and 60.0 (49.1 traced).
 _CELL_BYTES_PER_N2 = 20
 _NU_GAPS_CELL_BYTES_PER_N2 = 61
+# Resident bytes per n^2 of one double-cover degree d (n = 4d cover vertices):
+# 31.2 at n = 1600, 32.0 at n = 2400 (26.3 traced), from the float64 matrices
+# of trace_power and the eigensolves; the regular graph takes under 5.
+_COVER_BYTES_PER_N2 = 33
 _IMAG_TOL = 1e-8  # largest imaginary residue of a spectral power sum taken as rounding
 _COVER_CYCLES = (2, 3, 4)  # cycle lengths whose densities a double-cover row records
 
@@ -189,7 +191,7 @@ def convergence_experiment(
     For each (size, repeat) cell a child seed is derived, a digraph sampled,
     and the row records the normalized spectrum, its Hausdorff distance to the
     limit spectrum, and one multiplicity ledger per nonzero limit eigenvalue
-    at the given epsilon. Cells are independent; workers > 1 threads them.
+    at the given epsilon. Cells run on a pool of workers (>= 1) threads.
     Every eigensolve runs on one BLAS thread, so the parallelism is the
     pool's alone and the report's bytes do not depend on either thread count.
     Before any sampling, a BudgetError rejects sizes whose concurrent cells at
@@ -206,8 +208,10 @@ def convergence_experiment(
         raise ValueError("seeds_per_size must be at least 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     n = sizes[-1]
-    concurrent = max(1, min(workers, len(sizes) * seeds_per_size))
+    concurrent = min(workers, len(sizes) * seeds_per_size)
     per_n2 = _NU_GAPS_CELL_BYTES_PER_N2 if nu_gaps else _CELL_BYTES_PER_N2
     _require_memory(concurrent * per_n2 * n * n, f"{concurrent} concurrent converge cell(s) at n={n}")
     limit = step_spectrum(w)
@@ -234,12 +238,8 @@ def convergence_experiment(
             gaps = nu_convergence_gaps(rn, rw)
         return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run_cell, cells))
-    else:
-        rows = tuple(run_cell(c) for c in cells)
-    return ConvergenceReport(limit, rows)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return ConvergenceReport(limit, tuple(pool.map(run_cell, cells)))
 
 
 def step_sequence_convergence(
@@ -301,13 +301,16 @@ def double_cover_example(
     record the cycle densities of lengths 2, 3 and 4 and the Hausdorff
     distance of the normalized spectra to {1/4, -1/4, 0}. A and the bidirected
     cover are symmetric and go to the symmetric solver; the one-way cover goes
-    to dgeev. Eigensolves run on one BLAS thread.
+    to dgeev. Eigensolves run on one BLAS thread. A BudgetError rejects a
+    largest degree that would not fit in physical memory before any draw.
     """
     degrees = [int(d) for d in degrees]
     if not degrees or any(d < 2 for d in degrees):
         raise ValueError("degrees must be non-empty and at least 2")
     if spectral_tol is not None and not 0 < spectral_tol < np.inf:
         raise ValueError("spectral_tol must be positive and finite")
+    n = 4 * max(degrees)
+    _require_memory(_COVER_BYTES_PER_N2 * n * n, f"the double covers at degree {max(degrees)}")
     targets = np.array([0.25, -0.25, 0.0], dtype=np.complex128)
     rows = []
     for idx, d in enumerate(degrees):

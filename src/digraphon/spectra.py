@@ -325,7 +325,7 @@ def hausdorff_distance(x, y) -> float:
 
 def check_isolation(limit: Spectrum, lam: complex, epsilon: float) -> None:
     """Raise IsolationError unless B_{2 eps}(lam) meets the limit spectrum only at lam."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if abs(lam) <= epsilon:
         raise ValueError("epsilon must be smaller than |lambda|")

@@ -247,6 +247,11 @@ def test_exit_3_when_converge_exceeds_physical_memory(digraphon_file, tmp_path, 
         tmp_path / "out", capsys)
 
 
+def test_exit_3_when_double_cover_exceeds_physical_memory(tmp_path, capsys):
+    _assert_budget_exit_before_allocating(
+        ["double-cover", "--degrees", "3,10000000", "--seed", "1"], tmp_path / "out", capsys)
+
+
 def test_exit_3_when_no_regular_graph_is_found(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(digraphon.digraph, "_PAIRING_RESTARTS", 0)
     with pytest.raises(digraphon.GenerationError, match="in 0 restarts"):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -557,6 +558,90 @@ def test_random_regular_graph_deterministic():
     assert np.array_equal(a.adj, b.adj)
 
 
+def _has_suitable(edges: set, potential: dict) -> bool:
+    # True when the leftover stubs can still be paired into some new edge.
+    if not potential:
+        return True
+    nodes = list(potential)
+    for s1 in nodes:
+        for s2 in nodes:
+            if s1 == s2:
+                break
+            a, b = (s2, s1) if s1 > s2 else (s1, s2)
+            if (a, b) not in edges:
+                return True
+    return False
+
+
+def _try_pairing(n: int, degree: int, rng: np.random.Generator):
+    edges: set[tuple[int, int]] = set()
+    stubs = np.repeat(np.arange(n), degree)
+    for _ in range(digraph._PAIRING_ROUNDS):
+        if stubs.size == 0:
+            return edges
+        rng.shuffle(stubs)
+        failed: dict[int, int] = defaultdict(int)
+        it = iter(stubs.tolist())
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                failed[s1] += 1
+                failed[s2] += 1
+        if not _has_suitable(edges, failed):
+            return None
+        stubs = np.array([v for v, c in failed.items() for _ in range(c)], dtype=np.int64)
+    return None
+
+
+def frozen_random_regular_graph(n2, degree, seed):
+    """The edge-set stub pairing above: (adjacency, pairing attempts used)."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, digraph._PAIRING_RESTARTS + 1):
+        edges = _try_pairing(n2, degree, rng)
+        if edges is None:
+            continue
+        adj = np.zeros((n2, n2), dtype=np.int8)
+        for u, v in edges:
+            adj[u, v] = 1
+            adj[v, u] = 1
+        return adj, attempt
+    raise AssertionError("the reference pairing found no graph")
+
+
+def test_random_regular_graph_equals_the_frozen_edge_set_pairing():
+    grid = [(2 * d, d, s) for d in (2, 3, 4, 5, 8, 20, 50, 100, 200) for s in range(12)]
+    dense_attempts = 0
+    for n2, degree, seed in grid:
+        adj, attempts = frozen_random_regular_graph(n2, degree, seed)
+        dense_attempts += attempts
+        assert random_regular_graph(n2, degree, seed).adj.tobytes() == adj.tobytes()
+    assert dense_attempts > len(grid)  # the restart path ran
+    for n2, degree, seed in itertools.product((10, 50, 200, 1000), (1, 2, 3, 7), range(5)):
+        adj, _ = frozen_random_regular_graph(n2, degree, seed)
+        assert random_regular_graph(n2, degree, seed).adj.tobytes() == adj.tobytes()
+
+
+def test_random_regular_graph_budgets_before_allocating(monkeypatch):
+    # With 1 MB of physical memory, 32 B per stub plus 3 B/n2^2 fits n2 = 200
+    # at degree 10 (184 kB) but not n2 = 400 at degree 100 (1.76 MB), which is
+    # refused before its 320 kB stub array exists.
+    fake = {"SC_PHYS_PAGES": 250, "SC_PAGE_SIZE": 4000}
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
+    assert random_regular_graph(200, 10, seed=0).degree == 10
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="physical memory"):
+            random_regular_graph(400, 100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_random_regular_graph_validates_arguments():
     with pytest.raises(ValueError):
         random_regular_graph(5, 2, seed=0)
@@ -627,6 +712,11 @@ def test_digraph_json_rejects_malformed():
         digraph_from_json({"n": 2, "allow_bidirected": False, "edges": [[0, 5]]})
     with pytest.raises(ValueError):
         digraph_from_edgelist("0 1\n")
+    for header, field in [("n=3 bidirected=2", "bidirected"), ("n=3 bidirected=yes", "bidirected"),
+                          ("n=-1 bidirected=0", "n"), ("n=0 bidirected=0", "n"),
+                          ("n=x bidirected=1", "n"), ("n=2.5 bidirected=1", "n")]:
+        with pytest.raises(ValueError, match=f"edge-list header '# {header}': {field} must be"):
+            digraph_from_edgelist(f"# {header}\n0 1\n")
 
 
 def test_digraph_json_requires_a_boolean_allow_bidirected():

@@ -143,6 +143,26 @@ def test_convergence_experiment_validates_sizes():
         convergence_experiment(w, [], 2, epsilon=0.1, seed=0)
     with pytest.raises(TypeError):
         convergence_experiment(StepKernel([[0.5]], [1.0]), [5], 1, epsilon=0.1, seed=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            convergence_experiment(w, [5], 1, epsilon=0.1, seed=0, workers=workers)
+
+
+def test_double_cover_example_budgets_its_largest_degree_first(monkeypatch):
+    # With 1 MB of physical memory degree 3 fits (33 B per n^2 of the 12-vertex
+    # covers) and degree 100 does not (5.3 MB at n = 400): it is refused
+    # before the regular graph of the first degree is drawn.
+    fake = {"SC_PHYS_PAGES": 250, "SC_PAGE_SIZE": 4000}
+    real = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
+    assert len(double_cover_example([3], seed=1).rows) == 1
+
+    def never(*args):
+        raise AssertionError("drew a graph before the budget check")
+
+    monkeypatch.setattr(limits, "random_regular_graph", never)
+    with pytest.raises(BudgetError, match="double covers at degree 100"):
+        double_cover_example([3, 100], seed=1)
 
 
 def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):

@@ -453,6 +453,8 @@ def test_multiplicity_match_epsilon_must_be_small():
         multiplicity_match(limit, limit, 0.25, epsilon=0.3)
     with pytest.raises(ValueError):
         multiplicity_match(limit, limit, 0.9, epsilon=0.05)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        multiplicity_match(limit, limit, 0.25, epsilon=float("nan"))
 
 
 # ---------------------------------------------------------------------------
