@@ -1,10 +1,11 @@
 """Command-line entry point: file-based inputs, machine-readable outputs.
 
 Exit codes: 0 success, 2 validation or schema error, 3 enumeration budget or
-generation failure, 4 numerical failure. Errors are emitted as one JSON
-object on stderr. Outputs are written atomically (temp file then rename) and
-embed the invoking configuration and master seed; identical configuration and
-seed give byte-identical files.
+generation failure, 4 numerical failure (floating overflow and non-finite
+results included). Errors are emitted as one JSON object on stderr. Outputs
+are written atomically (temp file then rename) and embed the invoking
+configuration and master seed; identical configuration and seed give
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, NamedTuple
+
+import numpy as np
 
 from .digraph import digraph_edgelist_text, digraph_json_text, sample_bidirected_random, sample_w_random
 from .errors import BudgetError, GenerationError, IsolationError, NumericalError, StructureError
@@ -74,8 +77,18 @@ def _write_atomic(path: Path, *parts: _Text) -> None:
 
 
 def _json(fields: Callable[[Any], dict]) -> Callable[[Any, dict], str]:
-    """to_json from a function giving the result's fields as a dict."""
-    return lambda result, extra: json.dumps({**extra, **fields(result)}, sort_keys=True, indent=2) + "\n"
+    """to_json from a function giving the result's fields as a dict.
+
+    A NaN or infinity in the result raises NumericalError instead of writing
+    a file that is not JSON.
+    """
+    def to_json(result, extra: dict) -> str:
+        try:
+            return json.dumps({**extra, **fields(result)}, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericalError(f"result is not finite: {exc}") from None
+    return to_json
 
 
 def _load_json_file(path: str) -> dict:
@@ -156,7 +169,9 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; map exceptions to documented exit codes."""
     command = _commands()[args.command]
     try:
-        result = command.compute(args)
+        # floating overflow and invalid operations raise (exit 4), not warn
+        with np.errstate(over="raise", invalid="raise"):
+            result = command.compute(args)
         config = _config(args)
         stem = f"{command.stem}_seed{args.seed}" if command.seeded else command.stem
         if args.format == "csv":
@@ -170,7 +185,7 @@ def run(args: argparse.Namespace) -> int:
     except (BudgetError, GenerationError) as exc:
         _emit_error(exc)
         return _EXIT_BUDGET
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, FloatingPointError) as exc:
         _emit_error(exc)
         return _EXIT_NUMERICAL
     except (

@@ -35,14 +35,17 @@ _EINSUM_MEM = 1 << 26
 _PAIRING_RESTARTS = 10_000
 _PAIRING_ROUNDS = 1000
 
-# Peak traced bytes per n^2 of one W-random draw: the int8 adjacency, the
-# copy Digraph keeps and one n^2 validation temporary (3.0 measured at n=4000).
+# Peak traced bytes per n^2 of one W-random draw, and of loading a digraph:
+# the int8 adjacency and the two bool temporaries of Digraph's 0/1 entry
+# check (3.0 measured at n=4000).
 _SAMPLE_BYTES_PER_N2 = 3
 # random_regular_graph peaks at 32 bytes per stub (n2 * degree) in a pairing
 # round plus 3 per n2^2 (adjacency, validation): traced and resident peaks are
 # 16.7 per n2^2 at degree n2 / 2 (n2 = 2000, 4000), 9.0 at n2 / 4, 3.0 at 10.
 _PAIRING_BYTES_PER_STUB = 32
 _REGULAR_BYTES_PER_N2 = 3
+# Rows per strip of the antiparallel-pair check.
+_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +73,7 @@ class Digraph:
         a = a.astype(np.int8)
         if np.trace(a, dtype=np.int64) != 0:
             raise ValueError("loops are not allowed (diagonal must be zero)")
-        if not self.allow_bidirected and np.any(a & a.T):
+        if not self.allow_bidirected and _has_antiparallel_pair(a):
             raise ValueError(
                 "antiparallel edge pair present; construct with allow_bidirected=True"
             )
@@ -90,6 +93,17 @@ class Digraph:
         """Every edge (i, j), in row-major order (sorted by i, then j)."""
         ii, jj = np.nonzero(self.adj)
         return list(zip(ii.tolist(), jj.tolist()))
+
+
+def _has_antiparallel_pair(a: np.ndarray) -> bool:
+    """Whether a[i, j] = a[j, i] = 1 for some i, j, tested one strip of rows at a time.
+
+    Strip [lo, lo + s) pairs its rows from column lo on with the transpose of
+    its columns from row lo on, so every pair i < j is tested in the strip of
+    i, and the temporary is s * n bytes instead of n^2.
+    """
+    s = _STRIP_ROWS
+    return any(np.any(a[lo:lo + s, lo:] & a[lo:, lo:lo + s].T) for lo in range(0, a.shape[0], s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,15 +495,24 @@ _WRITE_CELLS = 1 << 18
 
 
 def _edge_text(g: Digraph, template: str, sep: str) -> Iterator[str]:
-    """template % (i, j) for every edge in row-major order, joined by sep, a row block at a time."""
+    """template % (i, j) for every edge in row-major order, joined by sep, a row block at a time.
+
+    With template = pre + "%d" + mid + "%d" + post, edge (i, j) with its sep
+    in front is heads[i] + tails[j], where heads[i] = sep + pre + str(i) + mid
+    and tails[j] = str(j) + post. Row i is then heads[i] + heads[i].join(the
+    tails of its edges); the sep in front of the first edge is cut off.
+    """
+    pre, mid, post = template.split("%d")
+    heads = [f"{sep}{pre}{v}{mid}" for v in range(g.n)]
+    tails = np.array([f"{v}{post}" for v in range(g.n)], dtype=object)
     step = max(1, _WRITE_CELLS // g.n)
-    lead = ""
+    lead = len(sep)
     for lo in range(0, g.n, step):
-        ii, jj = np.nonzero(g.adj[lo:lo + step])
-        if ii.size:
-            ij = np.column_stack((ii + lo, jj)).ravel().tolist()
-            yield lead + sep.join([template] * ii.size) % tuple(ij)
-            lead = sep
+        rows = ((heads[i], np.flatnonzero(row)) for i, row in enumerate(g.adj[lo:lo + step], lo))
+        text = "".join(head + head.join(tails[jj].tolist()) for head, jj in rows if jj.size)
+        if text:
+            yield text[lead:]
+            lead = 0
 
 
 def digraph_json_text(g: Digraph, extra: dict) -> Iterator[str]:
@@ -500,7 +523,7 @@ def digraph_json_text(g: Digraph, extra: dict) -> Iterator[str]:
     rest comes from json.dumps of the same object with no edges.
     """
     obj = {**extra, "n": g.n, "allow_bidirected": g.allow_bidirected, "edges": []}
-    shell = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    shell = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     edges = _edge_text(g, _EDGE_JSON, ",")
     first = next(edges, None)
     if first is None:
@@ -525,6 +548,7 @@ def digraph_from_json(obj: dict) -> Digraph:
         raise ValueError("digraph JSON field 'n' must be a positive integer")
     if type(bidirected) is not bool:
         raise ValueError("digraph JSON field 'allow_bidirected' must be true or false")
+    _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"loading a digraph on n={n} vertices")
     adj = np.zeros((n, n), dtype=np.int8)
     for e in obj["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
@@ -565,6 +589,7 @@ def digraph_from_edgelist(text: str) -> Digraph:
             n, bidirected = int(header["n"]), header["bidirected"] == "1"
     if n is None:
         raise ValueError("edge list requires a '# n=<n> bidirected=<0|1>' header")
+    _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"loading a digraph on n={n} vertices")
     adj = np.zeros((n, n), dtype=np.int8)
     for ln in lines[body_start:]:
         parts = ln.split()

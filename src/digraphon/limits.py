@@ -60,6 +60,11 @@ _NU_GAPS_CELL_BYTES_PER_N2 = 61
 # 31.2 at n = 1600, 32.0 at n = 2400 (26.3 traced), from the float64 matrices
 # of trace_power and the eigensolves; the regular graph takes under 5.
 _COVER_BYTES_PER_N2 = 33
+# Resident bytes the report of a converge run holds per reported eigenvalue
+# (its Spectrum point, JSON dict and text: 1.30-1.33 K at n = 200) and per
+# cell (row, cell tuple, pool future and ledgers: 6.5 K in all at n = 1).
+_REPORT_BYTES_PER_EIGENVALUE = 1400
+_REPORT_BYTES_PER_CELL = 5400
 _IMAG_TOL = 1e-8  # largest imaginary residue of a spectral power sum taken as rounding
 _COVER_CYCLES = (2, 3, 4)  # cycle lengths whose densities a double-cover row records
 
@@ -194,8 +199,9 @@ def convergence_experiment(
     at the given epsilon. Cells run on a pool of workers (>= 1) threads.
     Every eigensolve runs on one BLAS thread, so the parallelism is the
     pool's alone and the report's bytes do not depend on either thread count.
-    Before any sampling, a BudgetError rejects sizes whose concurrent cells at
-    the largest n would not fit in physical memory.
+    Before any sampling, a BudgetError rejects runs whose concurrent cells at
+    the largest n, together with the report of every cell, would not fit in
+    physical memory.
     """
     if not isinstance(w, StepDigraphon):
         raise TypeError("convergence_experiment requires a StepDigraphon")
@@ -211,9 +217,13 @@ def convergence_experiment(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     n = sizes[-1]
-    concurrent = min(workers, len(sizes) * seeds_per_size)
+    count = len(sizes) * seeds_per_size
+    concurrent = min(workers, count)
     per_n2 = _NU_GAPS_CELL_BYTES_PER_N2 if nu_gaps else _CELL_BYTES_PER_N2
-    _require_memory(concurrent * per_n2 * n * n, f"{concurrent} concurrent converge cell(s) at n={n}")
+    report = seeds_per_size * (sum(sizes) * _REPORT_BYTES_PER_EIGENVALUE
+                               + len(sizes) * _REPORT_BYTES_PER_CELL)
+    _require_memory(concurrent * per_n2 * n * n + report,
+                    f"{count} converge cell(s), {concurrent} at a time at n={n}")
     limit = step_spectrum(w)
     for v, _ in limit.points:
         check_isolation(limit, v, epsilon)

@@ -247,6 +247,56 @@ def test_exit_3_when_converge_exceeds_physical_memory(digraphon_file, tmp_path, 
         tmp_path / "out", capsys)
 
 
+def test_exit_3_when_converge_cells_exceed_physical_memory(digraphon_file, tmp_path, capsys):
+    # one n = 2 cell is tiny; the report of a billion is not, and the cell
+    # list is never built
+    _assert_budget_exit_before_allocating(
+        ["converge", "--kernel", digraphon_file, "--sizes", "2",
+         "--seeds-per-size", "1000000000", "--epsilon", "0.05", "--seed", "1"],
+        tmp_path / "out", capsys)
+
+
+def _one_error_line(err: str) -> dict:
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("command,value,codes", [
+    (["trace-check", "--ell-max", "4"], 1e200, {4}),
+    (["cutnorm"], 1e308, {4}),
+    (["step-converge", "--members", "@big", "--epsilon", "0.1"], 1e308, {2, 4}),
+])
+def test_floating_overflow_exits_with_one_json_line(command, value, codes, tmp_path):
+    # trace-check raised OverflowError from a power sum (exit 1, traceback),
+    # cutnorm wrote "value": Infinity and step-converge printed RuntimeWarnings;
+    # a subprocess, so that warnings reach the stderr checked here
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"k": 1, "values": [[value]], "measures": [1.0], "bound": value}))
+    kernel = big
+    if command[0] == "step-converge":
+        kernel = tmp_path / "limit.json"
+        kernel.write_text(json.dumps({"k": 1, "values": [[0.5]], "measures": [1.0]}))
+    argv = [str(big) if arg == "@big" else arg for arg in command]
+    out = tmp_path / "out"
+    src = str(Path(digraphon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "digraphon.cli", *argv, "--kernel", str(kernel),
+                           "--out-dir", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode in codes
+    _one_error_line(done.stderr)
+    assert not out.exists()
+
+
+def test_non_finite_result_exits_4_and_writes_no_file(monkeypatch, digraphon_file, tmp_path, capsys):
+    real = digraphon.cli.cut_norm_witness
+    monkeypatch.setattr(digraphon.cli, "cut_norm_witness",
+                        lambda w: real(w)._replace(value=float("inf")))
+    out = tmp_path / "out"
+    assert main(["cutnorm", "--kernel", digraphon_file, "--out-dir", str(out)]) == 4
+    assert _one_error_line(capsys.readouterr().err)["error"] == "NumericalError"
+    assert not out.exists()
+
+
 def test_exit_3_when_double_cover_exceeds_physical_memory(tmp_path, capsys):
     _assert_budget_exit_before_allocating(
         ["double-cover", "--degrees", "3,10000000", "--seed", "1"], tmp_path / "out", capsys)

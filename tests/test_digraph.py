@@ -88,6 +88,25 @@ def test_digraph_rejects_loops_and_antiparallel():
     assert g.n == 2 and g.edge_count == 2
 
 
+@pytest.mark.parametrize("n", [257, 513, 1000])
+def test_antiparallel_check_finds_one_pair_in_any_strip(n):
+    # a dense oriented graph (one direction per pair) passes; one planted pair
+    # is found inside a diagonal strip of 256 rows, across strips, and in or
+    # next to the last partial strip
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    flip = rng.random((n, n)) < 0.5
+    oriented = ((upper & ~flip) | (upper & flip).T).astype(np.int8)
+    assert Digraph(oriented).edge_count == upper.sum()
+    last = (n - 1) // 256 * 256
+    pairs = {(3, 200), (259, 356), (10, n - 1), (last - 1, last), (last, n - 1), (n - 2, n - 1)}
+    for i, j in sorted(p for p in pairs if p[0] < p[1] < n):
+        a = oriented.copy()
+        a[i, j] = a[j, i] = 1
+        with pytest.raises(ValueError, match="antiparallel"):
+            Digraph(a)
+
+
 def test_digraph_rejects_non_binary_entries():
     with pytest.raises(ValueError):
         Digraph(np.array([[0, 2], [0, 0]]))
@@ -761,6 +780,57 @@ def test_edgelist_writer_matches_the_joined_lines(monkeypatch, cells):
         lines = [f"# n={g.n} bidirected={int(g.allow_bidirected)}"]
         lines.extend(f"{i} {j}" for i, j in sorted(g.edges()))
         assert "".join(digraph_edgelist_text(g)) == digraph_to_edgelist(g) == "\n".join(lines) + "\n"
+
+
+def frozen_edge_text(g, template, sep):
+    """The %-template _edge_text that the per-vertex string tables replaced."""
+    step = max(1, digraph._WRITE_CELLS // g.n)
+    lead = ""
+    for lo in range(0, g.n, step):
+        ii, jj = np.nonzero(g.adj[lo:lo + step])
+        if ii.size:
+            ij = np.column_stack((ii + lo, jj)).ravel().tolist()
+            yield lead + sep.join([template] * ii.size) % tuple(ij)
+            lead = sep
+
+
+@pytest.mark.parametrize("cells", [1, 3000, 1 << 18])
+def test_edge_text_equals_the_frozen_template_writer(monkeypatch, cells):
+    # cells=3000 gives blocks of 300 / 30 / 3 rows at n = 10 / 100 / 1000, so
+    # n = 11, 101, 1001 end on a partial block, and of 25 rows at n = 120,
+    # where `gaps` has an empty first row and an empty block (rows 50-74);
+    # cells=1 makes every row a block
+    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    rng = np.random.default_rng(15)
+    gaps = np.triu(rng.random((120, 120)) < 0.2, 1).astype(np.int8)
+    gaps[0] = 0
+    gaps[50:75] = 0
+    graphs = [empty_digraph(1), empty_digraph(12), cycle_digraph(2), complete_bidirected_digraph(11),
+              sample_bidirected_random(random_pair(rng, 3), 101, seed=2), Digraph(gaps)]
+    graphs += [random_digraph(rng, n) for n in (9, 10, 11, 99, 100, 101, 999, 1000, 1001)]
+    for g in graphs:
+        for template, sep in ((digraph._EDGE_JSON, ","), ("%d %d\n", "")):
+            assert "".join(digraph._edge_text(g, template, sep)) == "".join(frozen_edge_text(g, template, sep))
+
+
+@pytest.mark.parametrize("load", [
+    lambda: digraph_from_json({"n": 10_000_000, "allow_bidirected": False, "edges": []}),
+    lambda: digraph_from_edgelist("# n=10000000 bidirected=0\n0 1\n"),
+], ids=["json", "edgelist"])
+def test_digraph_loaders_budget_n_before_allocating(load):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="n=10000000 vertices .* physical memory"):
+            load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_json_writer_refuses_a_non_finite_extra():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        "".join(digraph_json_text(cycle_digraph(3), {"config": {"tol": float("inf")}}))
 
 
 def test_edges_are_row_major():

@@ -167,8 +167,9 @@ def test_double_cover_example_budgets_its_largest_degree_first(monkeypatch):
 
 def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
     # With 4 MB of physical memory one n = 400 cell fits (20 B/n^2, the
-    # sampler's own 3 B/n^2 too); two concurrent cells, or one with nu-gaps
-    # (61 B/n^2), are rejected before anything is sampled.
+    # sampler's own 3 B/n^2 too, and the 0.57 MB of its report); two
+    # concurrent cells, or one with nu-gaps (61 B/n^2), are rejected before
+    # anything is sampled.
     fake = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4000}
     real = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
@@ -182,6 +183,9 @@ def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
     for kwargs in ({"workers": 2}, {"nu_gaps": True}):
         with pytest.raises(BudgetError, match="physical memory"):
             convergence_experiment(w, [10, 400], 1, epsilon=0.05, seed=1, **kwargs)
+    # a billion n = 2 cells fit one at a time, but their report would not
+    with pytest.raises(BudgetError, match="1000000000 converge cell"):
+        convergence_experiment(w, [2], 10**9, epsilon=0.05, seed=1)
 
 
 def test_convergence_half_constant_medians_decrease():
