@@ -6,9 +6,11 @@ integers, all sampling is reproducible from an explicit seed (numpy PCG64).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import re
 import string
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -342,8 +344,13 @@ def sample_w_random(w: "StepDigraphon", n: int, seed: int) -> Digraph:
 
     if not isinstance(w, StepDigraphon):
         raise TypeError("sample_w_random requires a StepDigraphon")
-    adj = _sample_adjacency(np.zeros_like(w.values), w.values, w.measures, n, seed)
-    return Digraph(adj, allow_bidirected=False)
+    return _w_random_draw(w, n, seed)[0]
+
+
+def _w_random_draw(w: "StepDigraphon", n: int, seed: int) -> tuple[Digraph, np.ndarray]:
+    """sample_w_random(w, n, seed) and the block label of each of its vertices."""
+    adj, labels = _sample_adjacency(np.zeros_like(w.values), w.values, w.measures, n, seed)
+    return Digraph(adj, allow_bidirected=False), labels
 
 
 def sample_bidirected_random(p: "BidirectedStepPair", n: int, seed: int) -> Digraph:
@@ -357,7 +364,7 @@ def sample_bidirected_random(p: "BidirectedStepPair", n: int, seed: int) -> Digr
 
     if not isinstance(p, BidirectedStepPair):
         raise TypeError("sample_bidirected_random requires a BidirectedStepPair")
-    return Digraph(_sample_adjacency(p.w1, p.w2, p.measures, n, seed), allow_bidirected=True)
+    return Digraph(_sample_adjacency(p.w1, p.w2, p.measures, n, seed)[0], allow_bidirected=True)
 
 
 def _require_memory(need: int, what: str) -> None:
@@ -368,8 +375,9 @@ def _require_memory(need: int, what: str) -> None:
                           f"the {memory / 2**30:.1f} GiB of physical memory")
 
 
-def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
-    """int8 adjacency of one draw, filled one row of the upper triangle at a time.
+def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """int8 adjacency of one draw, filled one row of the upper triangle at a time,
+    and the block label of each vertex.
 
     Labels come from choice(k, n, p=measures); then row i draws
     random(n - 1 - i), one uniform u per pair (i, j > i) in row-major order:
@@ -389,7 +397,7 @@ def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> np.ndarray:
         t1 = both + w2[x][rest]
         adj[i, i + 1:] = u < t1
         adj[i + 1:, i] = (u < both) | ((u >= t1) & (u < t1 + w2[:, x][rest]))
-    return adj
+    return adj, labels
 
 
 def _try_pairing(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | None:
@@ -571,15 +579,23 @@ def digraph_to_edgelist(g: Digraph) -> str:
     return "".join(digraph_edgelist_text(g))
 
 
+# A line of str.splitlines, less its line break.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def digraph_from_edgelist(text: str) -> Digraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """The digraph of an edge list; its lines are read one at a time, not split up front.
+
+    The header is the last '# n=<n> bidirected=<0|1>' among the comment lines
+    before the first edge; blank lines are skipped.
+    """
+    lines = (ln for ln in (m.group().strip() for m in _LINE.finditer(text)) if ln)
     n = bidirected = None
-    body_start = 0
-    for i, ln in enumerate(lines):
+    body = None
+    for ln in lines:
         if not ln.startswith("#"):
-            body_start = i
+            body = ln
             break
-        body_start = i + 1
         header = dict(part.split("=", 1) for part in ln[1:].split() if "=" in part)
         if "n" in header and "bidirected" in header:
             if not (header["n"].isdecimal() and int(header["n"]) > 0):
@@ -591,7 +607,7 @@ def digraph_from_edgelist(text: str) -> Digraph:
         raise ValueError("edge list requires a '# n=<n> bidirected=<0|1>' header")
     _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"loading a digraph on n={n} vertices")
     adj = np.zeros((n, n), dtype=np.int8)
-    for ln in lines[body_start:]:
+    for ln in itertools.chain(() if body is None else (body,), lines):
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"malformed edge line: {ln!r}")

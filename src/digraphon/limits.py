@@ -17,11 +17,11 @@ from scipy.optimize import linear_sum_assignment
 
 from .digraph import (
     _require_memory,
+    _w_random_draw,
     bidirected_double_cover,
     cycle_digraph,
     oneway_double_cover,
     random_regular_graph,
-    sample_w_random,
     trace_power,
 )
 from .errors import NumericalError
@@ -30,6 +30,7 @@ from .spectra import (
     MultiplicityLedger,
     Spectrum,
     _adjacency_spectrum,
+    _bipartite_eigenvalues,
     _csv_text,
     _symmetric_eigenvalues,
     check_isolation,
@@ -181,6 +182,27 @@ def _limit_point_set(limit: Spectrum, sample_size: int) -> np.ndarray:
     return limit.point_set(include_zero=include_zero)
 
 
+def _block_sides(values: np.ndarray) -> np.ndarray | None:
+    """A side (False or True) per block such that W vanishes between blocks of
+    one side in both directions, or None when the blocks do not 2-colour."""
+    joined = (values + values.T) != 0
+    side = np.full(values.shape[0], -1)
+    for root in range(side.size):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            b = stack.pop()
+            for c in np.flatnonzero(joined[b]):
+                if side[c] == side[b]:
+                    return None
+                if side[c] < 0:
+                    side[c] = 1 - side[b]
+                    stack.append(c)
+    return side == 1
+
+
 @one_blas_thread()
 def convergence_experiment(
     w: StepDigraphon,
@@ -196,9 +218,14 @@ def convergence_experiment(
     For each (size, repeat) cell a child seed is derived, a digraph sampled,
     and the row records the normalized spectrum, its Hausdorff distance to the
     limit spectrum, and one multiplicity ledger per nonzero limit eigenvalue
-    at the given epsilon. Cells run on a pool of workers (>= 1) threads.
-    Every eigensolve runs on one BLAS thread, so the parallelism is the
-    pool's alone and the report's bytes do not depend on either thread count.
+    at the given epsilon. When the blocks of w split into two sides with W
+    zero within each side, every sample is bipartite along the sides of its
+    vertices' block labels and is solved from the half-size product of its
+    two off-diagonal blocks (spectra._bipartite_eigenvalues); otherwise from
+    its whole adjacency. Cells run on a pool of workers (>= 1) threads, each
+    under the caller's numpy floating-point error handling. Every eigensolve
+    runs on one BLAS thread, so the parallelism is the pool's alone and the
+    report's bytes do not depend on either thread count.
     Before any sampling, a BudgetError rejects runs whose concurrent cells at
     the largest n, together with the report of every cell, would not fit in
     physical memory.
@@ -227,6 +254,8 @@ def convergence_experiment(
     limit = step_spectrum(w)
     for v, _ in limit.points:
         check_isolation(limit, v, epsilon)
+    sides = _block_sides(w.values)
+    errstate = np.geterr()  # pool threads start from numpy's defaults
 
     cells = [
         (i, j, n, child_seed(seed, i, j))
@@ -236,17 +265,22 @@ def convergence_experiment(
 
     def run_cell(cell) -> ConvergenceRow:
         _, _, n, cell_seed = cell
-        g = sample_w_random(w, n, cell_seed)
-        observed = normalized_spectrum(g)
-        h = hausdorff_distance(observed.point_set(), _limit_point_set(limit, n))
-        ledgers = tuple(
-            multiplicity_match(limit, observed, v, epsilon) for v, _ in limit.points
-        )
-        gaps = None
-        if nu_gaps:
-            rn, rw = common_refinement(step_from_digraph(g), w)
-            gaps = nu_convergence_gaps(rn, rw)
-        return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
+        with np.errstate(**errstate):
+            g, labels = _w_random_draw(w, n, cell_seed)
+            if sides is None:
+                observed = normalized_spectrum(g)
+            else:
+                vals = _bipartite_eigenvalues(g.adj, sides[labels])
+                observed = _adjacency_spectrum(vals, n, n, None)
+            h = hausdorff_distance(observed.point_set(), _limit_point_set(limit, n))
+            ledgers = tuple(
+                multiplicity_match(limit, observed, v, epsilon) for v, _ in limit.points
+            )
+            gaps = None
+            if nu_gaps:
+                rn, rw = common_refinement(step_from_digraph(g), w)
+                gaps = nu_convergence_gaps(rn, rw)
+            return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return ConvergenceReport(limit, tuple(pool.map(run_cell, cells)))

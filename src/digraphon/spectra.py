@@ -4,9 +4,10 @@ Eigenvalues come from LAPACK's dense non-symmetric solver (balancing, then
 Hessenberg reduction, then implicitly shifted QR with deflation); a spectrum
 that is not exactly closed under conjugation, or whose sum strays from the
 trace, raises NumericalError. Matrices known to be exactly symmetric may take
-LAPACK's symmetric solver instead, under the same checks. Floating
-eigenvalue lists are turned into (value, multiplicity) pairs by single-linkage
-clustering at an explicit tolerance.
+LAPACK's symmetric solver instead, and matrices with a known bipartition of
+their vertices the half-size product of their two off-diagonal blocks, under
+the same checks. Floating eigenvalue lists are turned into (value,
+multiplicity) pairs by single-linkage clustering at an explicit tolerance.
 """
 from __future__ import annotations
 
@@ -141,6 +142,37 @@ def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
     return _checked_solve(np.linalg.eigvalsh, a)
+
+
+def _bipartite_eigenvalues(m: np.ndarray, side) -> np.ndarray:
+    """eigenvalues(m) for an m that never joins two vertices of one side.
+
+    side is a bool mask of the vertices. Permuted to [[0, B], [C, 0]] with p
+    <= q vertices on the two sides, m has det(lam I - m) = lam^(q - p)
+    det(lam^2 I - B C), so its spectrum is +-sqrt(mu) over the eigenvalues
+    mu of the p x p product B C (dgeev) and q - p zeros. Near 0 the square
+    root amplifies the solver's error to about sqrt(u |B| |C|). Raises
+    ValueError unless both same-side blocks of m are exactly zero.
+    """
+    a = _finite_square(m)
+    side = np.asarray(side, dtype=bool)
+    if side.shape != (a.shape[0],):
+        raise ValueError("side must be a bool mask with one entry per row")
+    small = side if 2 * np.count_nonzero(side) <= side.size else ~side
+    large = ~small
+    if a[np.ix_(small, small)].any() or a[np.ix_(large, large)].any():
+        raise ValueError("matrix joins two vertices of one side")
+
+    def solve(a):
+        # for 0/1 entries every entry of B C is an exact integer below 2^53
+        bc = a[np.ix_(small, large)] @ a[np.ix_(large, small)]
+        root = np.sqrt(np.linalg.eigvals(bc).astype(np.complex128))
+        zeros = np.zeros(np.count_nonzero(large) - root.size, np.complex128)
+        vals = np.concatenate([root, -root, zeros])
+        vals.real[vals.real == 0.0] = 0.0  # -(0 + i y) has real part -0.0
+        return vals
+
+    return _checked_solve(solve, a)
 
 
 @functools.cache

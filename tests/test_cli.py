@@ -39,6 +39,15 @@ def digraphon_file(tmp_path):
 
 
 @pytest.fixture
+def looped_digraphon_file(tmp_path):
+    # a nonzero diagonal block: the blocks do not 2-colour
+    w = StepDigraphon(np.array([[0.5, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    path = tmp_path / "looped.json"
+    path.write_text(json.dumps(kernel_to_json(w)))
+    return str(path)
+
+
+@pytest.fixture
 def pair_file(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair_to_json(bidirected_crossing_pair())))
@@ -168,6 +177,9 @@ _GOLDEN_RUNS = {
     "converge-nu-gaps": (["converge", "--kernel", "@digraphon", "--sizes", "10,20",
                           "--seeds-per-size", "2", "--epsilon", "0.05", "--seed", "1",
                           "--nu-gaps"], "converge_seed1"),
+    "converge-looped": (["converge", "--kernel", "@looped", "--sizes", "10,20",
+                         "--seeds-per-size", "2", "--epsilon", "0.02", "--seed", "1"],
+                        "converge_seed1"),
     "step-converge": (["step-converge", "--kernel", "@limit", "--members", "@members",
                        "--epsilon", "0.1"], "step_converge"),
     "double-cover": (["double-cover", "--degrees", "3,4", "--seed", "4"], "double_cover_seed4"),
@@ -188,10 +200,12 @@ _GOLDEN_DIGESTS = {
     ("sample-kernel", "csv"): "41630ce218d68f4bbdbf39337a03894ed0ffc1f2e78cad20abda93fa8d233f84",
     ("sample-pair", "json"): "efee1294c5ba5c63b59fed05875b7ef288a41223947fd9d7143deb9ceb310778",
     ("sample-pair", "csv"): "96c64786e079aec335cccf514b24b438f11dc07ffaf72cb0d3255b357e976547",
-    ("converge", "json"): "a74e5c55adc8b90a9170f08993a238f061a296f659e9165f954f8fdb6b214a4a",
-    ("converge", "csv"): "32e9a6d163ab9b65e4a301ac9095860060ae28464ba3a227c606f269e72ac599",
-    ("converge-nu-gaps", "json"): "468d389225d66310ac5a9f7e95d09b7562b4f57816b073e1475131028b502e5b",
-    ("converge-nu-gaps", "csv"): "25ce0260c2a5ba5d0e19b6e93cf3c5996e41285c72f0bd3a02cb73ef4121ac8f",
+    ("converge", "json"): "cfc1bd9035126e8f740d79a3559662865a06eecc8a82355b6628fbd4004b83fa",
+    ("converge", "csv"): "acbf440e703cc6cde14edcde89a8c29d6d9fdfda3c00a9f292a0bbd66fd5dec2",
+    ("converge-nu-gaps", "json"): "a23cac606fdbd6f5e179343bb699567d8374ce243f3f22501aa48d556bd69f4d",
+    ("converge-nu-gaps", "csv"): "b17260f70b78c4da688e15d7cd7d5bf142a8398eeeec187eed17b61677179147",
+    ("converge-looped", "json"): "2cedd1c42b80d182d43482944093475b71f942d814d5c06ca8ed501dd50c9d51",
+    ("converge-looped", "csv"): "a57f0319efdf073ab9432ea9a079f2e46738a0fb6be51eab862f62062a67597d",
     ("step-converge", "json"): "d5a6e1f5b28d89c261b885d1281e79e324da1f2d5270ab6f29329be6b1841b0e",
     ("step-converge", "csv"): "7205f9d76ef8344b7a91ab4315a8320df47414bd938b93d8e6062ca969ea4c80",
     ("double-cover", "json"): "ddc98c64fad7c1fbbddceed81f84059d0156ab59542002fe64bea531b26b640a",
@@ -202,10 +216,12 @@ _GOLDEN_DIGESTS = {
 
 
 @pytest.fixture
-def input_files(crossing_kernel_file, digraphon_file, pair_file, step_sequence_files):
+def input_files(crossing_kernel_file, digraphon_file, looped_digraphon_file, pair_file,
+                step_sequence_files):
     limit, members = step_sequence_files
     return {"@crossing": [crossing_kernel_file], "@digraphon": [digraphon_file],
-            "@pair": [pair_file], "@limit": [limit], "@members": members}
+            "@looped": [looped_digraphon_file], "@pair": [pair_file], "@limit": [limit],
+            "@members": members}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -26,7 +26,12 @@ from digraphon import (
     verify_trace_formula,
 )
 from digraphon import limits, spectra
-from digraphon.digraph import bidirected_double_cover, oneway_double_cover, random_regular_graph
+from digraphon.digraph import (
+    bidirected_double_cover,
+    oneway_double_cover,
+    random_regular_graph,
+    sample_w_random,
+)
 
 
 def crossing_kernel():
@@ -179,7 +184,7 @@ def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
     def never(*args):
         raise AssertionError("sampled before the budget check")
 
-    monkeypatch.setattr(limits, "sample_w_random", never)
+    monkeypatch.setattr(limits, "_w_random_draw", never)
     for kwargs in ({"workers": 2}, {"nu_gaps": True}):
         with pytest.raises(BudgetError, match="physical memory"):
             convergence_experiment(w, [10, 400], 1, epsilon=0.05, seed=1, **kwargs)
@@ -220,13 +225,13 @@ def test_convergence_experiment_pins_and_restores_blas_threads(monkeypatch):
         pytest.skip("numpy's bundled OpenBLAS not found")
     get, set_ = fns
     seen = []
-    spectrum = limits.normalized_spectrum
+    solve = limits._bipartite_eigenvalues  # the crossing kernel's blocks 2-colour
 
-    def recording_spectrum(g):
+    def recording_solve(m, side):
         seen.append(get())
-        return spectrum(g)
+        return solve(m, side)
 
-    monkeypatch.setattr(limits, "normalized_spectrum", recording_spectrum)
+    monkeypatch.setattr(limits, "_bipartite_eigenvalues", recording_solve)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     before = get()
     set_(2)
@@ -239,6 +244,74 @@ def test_convergence_experiment_pins_and_restores_blas_threads(monkeypatch):
         assert get() == 2
     finally:
         set_(before)
+
+
+@pytest.mark.parametrize("values,sides", [
+    ([[0.0, 0.25], [0.25, 0.0]], [False, True]),
+    ([[0.0, 0.3, 0.0], [0.2, 0.0, 0.4], [0.0, 0.5, 0.0]], [False, True, False]),
+    ([[0.0, 0.0, 0.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [False, False, True]),  # one W(x, y) > 0
+    ([[0.0, 0.0], [0.0, 0.0]], [False, False]),
+    ([[0.1, 0.2], [0.2, 0.0]], None),  # a nonzero diagonal block
+    ([[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.3, 0.0, 0.0]], None),  # an odd cycle of blocks
+])
+def test_block_sides_two_colour_the_support_of_w(values, sides):
+    got = limits._block_sides(np.array(values))
+    assert got is None if sides is None else got.tolist() == sides
+
+
+def counting(monkeypatch, module, name, sizes):
+    solve = getattr(module, name)
+
+    def counted(m, *args):
+        sizes.append(m.shape[0])
+        return solve(m, *args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_convergence_experiment_solves_bipartite_samples_on_the_half_size_product(monkeypatch):
+    general, bipartite = [], []
+    counting(monkeypatch, spectra, "eigenvalues", general)
+    counting(monkeypatch, limits, "_bipartite_eigenvalues", bipartite)
+    crossing = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    report = convergence_experiment(crossing, [50, 100], 2, epsilon=0.05, seed=3)
+    assert general == [2] and bipartite == [50, 50, 100, 100]  # the limit, then each cell
+    for row in report.rows:
+        g = sample_w_random(crossing, row.n, row.seed)
+        full = spectra.normalized_spectrum(g)
+        assert spectra.hausdorff_distance(row.observed.point_set(), full.point_set()) <= 1e-10
+
+
+def test_convergence_experiment_falls_back_to_dgeev_when_blocks_do_not_two_colour(monkeypatch):
+    general, bipartite = [], []
+    counting(monkeypatch, spectra, "eigenvalues", general)
+    counting(monkeypatch, limits, "_bipartite_eigenvalues", bipartite)
+    cycle = StepDigraphon(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.6], [0.6, 0.0, 0.0]]),
+                          uniform_measures(3))
+    report = convergence_experiment(cycle, [10, 20], 2, epsilon=0.05, seed=3)
+    assert general == [3, 10, 10, 20, 20] and bipartite == []
+    for row in report.rows:
+        full = spectra.normalized_spectrum(sample_w_random(cycle, row.n, row.seed))
+        assert row.observed.points == full.points
+
+
+def test_convergence_cells_compute_under_the_callers_errstate(monkeypatch):
+    seen = []
+    solve = limits._bipartite_eigenvalues
+
+    def recording_solve(m, side):
+        seen.append(np.geterr())
+        return solve(m, side)
+
+    monkeypatch.setattr(limits, "_bipartite_eigenvalues", recording_solve)
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    with np.errstate(over="raise", invalid="raise"):
+        caller = np.geterr()
+        convergence_experiment(w, [10, 20], 2, epsilon=0.05, seed=3, workers=2)
+    assert caller["over"] == "raise" and seen == [caller] * 4
+    seen.clear()
+    convergence_experiment(w, [10], 2, epsilon=0.05, seed=3, workers=2)
+    assert seen == [np.geterr()] * 2 and seen[0]["over"] != "raise"
 
 
 # ---------------------------------------------------------------------------
