@@ -276,11 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _workers_from_env() -> int:
-    """Pool size from DIGRAPHON_THREADS: unset means 1, 0 means one per CPU."""
+    """Pool size from DIGRAPHON_THREADS: unset means 1, 0 means one per CPU,
+    and no value gives more threads than CPUs."""
     raw = os.environ.get("DIGRAPHON_THREADS", "1") or "1"
     if not raw.strip().isdecimal():
         raise ValueError(f"DIGRAPHON_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    return min(int(raw) or cpus, cpus)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,6 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .digraph import (
     _require_memory,
@@ -184,23 +185,19 @@ def _limit_point_set(limit: Spectrum, sample_size: int) -> np.ndarray:
 
 def _block_sides(values: np.ndarray) -> np.ndarray | None:
     """A side (False or True) per block such that W vanishes between blocks of
-    one side in both directions, or None when the blocks do not 2-colour."""
-    joined = (values + values.T) != 0
-    side = np.full(values.shape[0], -1)
-    for root in range(side.size):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        stack = [root]
-        while stack:
-            b = stack.pop()
-            for c in np.flatnonzero(joined[b]):
-                if side[c] == side[b]:
-                    return None
-                if side[c] < 0:
-                    side[c] = 1 - side[b]
-                    stack.append(c)
-    return side == 1
+    one side in both directions, or None when the blocks do not 2-colour.
+
+    Block b is node b of the bipartite double cover [[0, J], [J, 0]] of the
+    support J of W + W^T, and its copy b + k lies in the same component iff
+    an odd walk joins b to itself. Components are numbered by their lowest
+    node, so every component's lowest block gets False.
+    """
+    k = values.shape[0]
+    cover = np.kron([[0, 1], [1, 0]], (values + values.T) != 0)
+    _, labels = connected_components(cover, directed=False)
+    if (labels[:k] == labels[k:]).any():
+        return None
+    return labels[:k] > labels[k:]
 
 
 @one_blas_thread()
@@ -282,7 +279,7 @@ def convergence_experiment(
                 gaps = nu_convergence_gaps(rn, rw)
             return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=concurrent) as pool:
         return ConvergenceReport(limit, tuple(pool.map(run_cell, cells)))
 
 

@@ -7,7 +7,11 @@ trace, raises NumericalError. Matrices known to be exactly symmetric may take
 LAPACK's symmetric solver instead, and matrices with a known bipartition of
 their vertices the half-size product of their two off-diagonal blocks, under
 the same checks. Floating eigenvalue lists are turned into (value,
-multiplicity) pairs by single-linkage clustering at an explicit tolerance.
+multiplicity) pairs at an explicit tolerance tol by single linkage with
+centroid re-merging: each round pairs the centroids within tol (a k-d tree
+query, then the exact test), merges the connected components of those
+pairs, and averages each component's members with multiplicity; rounds
+repeat until no two centroids are within tol.
 """
 from __future__ import annotations
 
@@ -20,6 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .digraph import Digraph
 from .errors import IsolationError, NumericalError
@@ -229,39 +236,15 @@ def one_blas_thread():
                 set_(_unpinned_threads)
 
 
-def _sweep(axis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort order along one axis and, per sorted point, its later neighbours within 2 tol."""
-    order = np.argsort(axis, kind="stable")
-    ax = axis[order]
-    return order, np.searchsorted(ax, ax + 2.0 * tol, side="right") - np.arange(1, ax.size + 1)
-
-
-def _close_pairs(centroids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j with |c_i - c_j| <= tol, in row-major order.
-
-    A sort-and-sweep finds the candidates along the real or the imaginary
-    axis, whichever gives fewer (spectra of real matrices often crowd one
-    axis): a close pair lies within tol on each axis, and the window of
-    2 tol absorbs the rounding of the sweep's bound. The candidates are
-    then held to the exact test.
-    """
-    order, counts = min(_sweep(centroids.real, tol), _sweep(centroids.imag, tol),
-                        key=lambda swept: int(swept[1].sum()))
-    first = np.repeat(np.arange(counts.size), counts)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    i = np.minimum(order[first], order[second])
-    j = np.maximum(order[first], order[second])
-    close = np.abs(centroids[i] - centroids[j]) <= tol
-    i, j = i[close], j[close]
-    rowmajor = np.lexsort((j, i))
-    return i[rowmajor], j[rowmajor]
-
-
 def cluster_multiplicities(points, tol: float) -> Spectrum:
-    """Single-linkage clustering of eigenvalues into (centroid, mass) pairs.
+    """Cluster eigenvalues into (centroid, mass) pairs by single linkage with
+    centroid re-merging, as the module docstring describes.
 
-    Clusters are merged until all centroids are pairwise further apart than
-    tol; each centroid is the mean of its member values (with repetition).
+    Each centroid is the mean of its member values (with repetition). The
+    candidate pairs of a round are the centroids with |dx| + |dy| <= 8 tol,
+    a window around the disc |c_i - c_j| <= tol that absorbs the rounding of
+    the k-d tree's distances, subnormal ones included; the exact test
+    |c_i - c_j| <= tol decides. Non-finite points stay singletons.
     """
     if not 0 < tol < np.inf:
         raise ValueError("clustering tolerance must be positive and finite")
@@ -271,28 +254,24 @@ def cluster_multiplicities(points, tol: float) -> Spectrum:
     centroids = pts.copy()
     weights = np.ones(pts.size, dtype=np.int64)
     while centroids.size > 1:
-        first, second = _close_pairs(centroids, tol)
-        if first.size == 0:
+        # quartered coordinates: no |dx| + |dy| of two finite points overflows
+        finite = np.flatnonzero(np.isfinite(centroids))
+        quarters = np.column_stack([centroids.real[finite], centroids.imag[finite]]) / 4
+        i, j = finite[cKDTree(quarters).query_pairs(2 * tol, p=1, output_type="ndarray").T]
+        close = np.abs(centroids[i] - centroids[j]) <= tol
+        i, j = i[close], j[close]
+        if i.size == 0:
             break
-        # one union-find round over all currently-close pairs
-        parent = np.arange(centroids.size)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in zip(first.tolist(), second.tolist()):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-        roots = parent
-        while not np.array_equal(roots, roots[roots]):
-            roots = roots[roots]
-        # members grouped by root, ascending within a group; groups in root order
-        members = np.argsort(roots, kind="stable")
-        grouped = roots[members]
+        # the pairs as a CSR matrix, built here: scipy's conversion from COO
+        # costs more than the search itself on a few hundred points
+        n = centroids.size
+        by_row = np.argsort(i, kind="stable")
+        indptr = np.searchsorted(i[by_row], np.arange(n + 1))
+        pairs = csr_array((np.ones(i.size), j[by_row], indptr), shape=(n, n))
+        _, labels = connected_components(pairs, directed=False)
+        # members grouped by component, ascending within a group
+        members = np.argsort(labels, kind="stable")
+        grouped = labels[members]
         starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
         sizes = np.diff(np.r_[starts, members.size])
         weights_out = np.add.reduceat(weights[members], starts)

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digraphon
 
@@ -19,6 +24,7 @@ from digraphon import (
     kernel_to_json,
     pair_to_json,
 )
+from digraphon import cli
 from digraphon.cli import main
 from digraphon.stepkernel import StepDigraphon, StepKernel, uniform_measures
 
@@ -546,3 +552,155 @@ def test_output_bytes_do_not_depend_on_thread_counts(digraphon_file, tmp_path):
                                env=env, check=True, timeout=120)
                 digests[name].add(hashlib.sha256((out / name).read_bytes()).hexdigest())
     assert {name: len(d) for name, d in digests.items()} == {name: 1 for name in commands}
+
+
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+    for cpus, raw, want in ((4, "1", 1), (4, "3", 3), (4, "", 1), (4, "0", 4), (4, "100000", 4),
+                            (None, "0", 1), (None, "7", 1), (2, "2", 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("DIGRAPHON_THREADS", raw)
+        assert cli._workers_from_env() == want
+
+
+# ---------------------------------------------------------------------------
+# hostile input: every command keeps the exit-code and output contract
+
+
+_HOSTILE_NUMBERS = st.sampled_from([-0.0, 5e-324, -1e-300, 1e308, -1.5, 2.0, float("nan"),
+                                    float("inf"), -float("inf"), 10**400, True, None, "0.5",
+                                    [0.5], {}])
+_HOSTILE_REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from(["0", "-1", "5e-324", "1e308", "nan", "-inf", "x"]))
+# sizes stay small or are so large that the memory budget refuses them unallocated
+_HOSTILE_COUNTS = st.sampled_from([-2, -1, 0, 10**15, 2**63, -(10**30), "x", "1.5", ""])
+
+
+def _either(draw, valid, hostile):
+    """A draw from hostile one time in four, else from valid."""
+    return draw(hostile if draw(st.integers(0, 3)) == 0 else valid)
+
+
+@st.composite
+def _kernel_json(draw):
+    """A valid 1-3 block kernel object, or one with a hostile field."""
+    k = draw(st.integers(1, 3))
+    entries = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.5))
+    obj = {"k": k, "measures": [1.0 / k] * k,
+           "values": [[draw(entries) for _ in range(k)] for _ in range(k)]}
+    if draw(st.booleans()):
+        obj["type"] = "digraphon"
+    change = _either(draw, st.just("none"), st.sampled_from(
+        ["value", "measure", "k", "ragged", "drop", "type", "bound", "list"]))
+    if change == "value":
+        obj["values"][draw(st.integers(0, k - 1))][0] = draw(_HOSTILE_NUMBERS)
+    elif change == "measure":
+        obj["measures"][0] = draw(_HOSTILE_NUMBERS)
+    elif change == "k":
+        obj["k"] = draw(st.sampled_from([0, -1, k + 1, 10**9, 2.0, "2", None]))
+    elif change == "ragged":
+        obj["values"][-1] = obj["values"][-1][:draw(st.integers(0, k - 1))]
+    elif change == "drop":
+        del obj[draw(st.sampled_from(["k", "measures", "values"]))]
+    elif change == "type":
+        obj["type"] = draw(st.sampled_from(["kernel", 3, None]))
+    elif change == "bound":
+        obj["bound"] = draw(st.one_of(st.floats(0.0, 2.0), _HOSTILE_NUMBERS))
+    elif change == "list":
+        return [obj]
+    return obj
+
+
+@st.composite
+def _pair_json(draw):
+    """A valid 1-3 block pair (W1 + W2 + W2^T <= 1) or one with a hostile field."""
+    k = draw(st.integers(1, 3))
+    entries = st.one_of(st.sampled_from([0.0, 0.25]), st.floats(0.0, 0.25))
+    obj = {"measures": [1.0 / k] * k,
+           **{key: [[draw(entries) for _ in range(k)] for _ in range(k)] for key in ("W1", "W2")}}
+    change = _either(draw, st.just("none"), st.sampled_from(["value", "ragged", "drop"]))
+    if change == "value":
+        obj[draw(st.sampled_from(["W1", "W2", "measures"]))][0] = draw(_HOSTILE_NUMBERS)
+    elif change == "ragged":
+        obj["W2"] = [[0.0] * draw(st.integers(0, 3))]
+    elif change == "drop":
+        del obj[draw(st.sampled_from(["W1", "W2", "measures"]))]
+    return obj
+
+
+@st.composite
+def _hostile_run(draw):
+    """(argv with @kernel, @pair and @member<i> placeholders, {placeholder: JSON object})."""
+    def real():
+        return str(_either(draw, st.sampled_from([1e-4, 1e-3, 0.01]), _HOSTILE_REALS))
+
+    def count(low, high):
+        return str(_either(draw, st.integers(low, high), _HOSTILE_COUNTS))
+
+    def sizes(at_most, high):
+        valid = st.lists(st.integers(1, high), min_size=1, max_size=at_most, unique=True).map(sorted)
+        hostile = st.one_of(st.lists(st.one_of(st.integers(-2, high), _HOSTILE_COUNTS),
+                                     max_size=at_most), st.just(["3", "", "5"]))
+        return ",".join(map(str, _either(draw, valid, hostile)))
+
+    command = draw(st.sampled_from(["spectrum", "cutnorm", "trace-check", "sample", "converge",
+                                    "step-converge", "double-cover"]))
+    kernel = draw(_kernel_json())
+    if command in ("sample", "converge") and isinstance(kernel, dict) and draw(st.integers(0, 3)):
+        kernel["type"] = "digraphon"  # they take digraphons only
+    files = {"@kernel": kernel}
+    argv = [command, "--kernel", "@kernel"]
+    # --flag=value, so that a value starting with "-" is not read as a flag
+    if command == "spectrum" and draw(st.booleans()):
+        argv += [f"--tol={real()}"]
+    elif command == "trace-check":
+        argv += [f"--ell-max={count(3, 12)}"]
+    elif command == "sample":
+        if draw(st.booleans()):
+            files = {"@pair": draw(_pair_json())}
+            argv[1:] = ["--pair", "@pair"]
+        argv += [f"--n={count(1, 60)}", f"--seed={count(0, 2**64)}"]
+    elif command == "converge":
+        argv += [f"--sizes={sizes(3, 40)}", f"--seeds-per-size={count(1, 3)}",
+                 f"--epsilon={real()}", f"--seed={count(0, 2**64)}"]
+        argv += ["--nu-gaps"] if draw(st.booleans()) else []
+    elif command == "step-converge":
+        members = draw(st.lists(_kernel_json(), min_size=1, max_size=2))
+        files.update({f"@member{i}": m for i, m in enumerate(members)})
+        argv += ["--members", *sorted(files.keys() - {"@kernel"}), f"--epsilon={real()}"]
+    elif command == "double-cover":
+        files = {}
+        argv = [command, f"--degrees={sizes(2, 8)}", f"--seed={count(0, 2**64)}"]
+        argv += [f"--tol={real()}"] if draw(st.booleans()) else []
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-n", "1e9"])))
+    return argv, files
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_hostile_run())
+def test_hostile_input_keeps_the_exit_code_and_output_contract(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, obj in files.items():
+            (tmp / f"{name[1:]}.json").write_text(json.dumps(obj))
+        argv = [str(tmp / f"{arg[1:]}.json") if arg in files else arg for arg in argv]
+        out = tmp / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print on the CLI's stderr
+            code = main([*argv, "--out-dir", str(out)])
+        outputs = [p.read_text() for p in out.iterdir()] if out.exists() else []
+    assert code in (0, 2, 3, 4)
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert stderr.getvalue() == "" and len(outputs) == 1
+        json.loads(outputs[0], parse_constant=_refuse_constant)
+    else:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+        assert outputs == []

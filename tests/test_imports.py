@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import digraphon
@@ -38,3 +39,23 @@ def test_no_module_imports_a_name_it_never_uses():
         used = used_names(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def imported_modules(tree):
+    """(top-level module, line) for every absolute import, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_every_import_is_stdlib_numpy_scipy_or_the_package():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "digraphon"}
+    modules = sorted(Path(digraphon.__file__).parent.glob("*.py"))
+    foreign = [f"{path.name}:{line} {name}" for path in modules
+               for name, line in imported_modules(ast.parse(path.read_text()))
+               if name not in allowed]
+    assert len(modules) >= 8
+    assert foreign == []

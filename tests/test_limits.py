@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -259,6 +260,53 @@ def test_block_sides_two_colour_the_support_of_w(values, sides):
     assert got is None if sides is None else got.tolist() == sides
 
 
+def dfs_block_sides(values):
+    """The 2-colouring as first written: a stack-based search from each uncoloured
+    block in turn, the search's first block on side False."""
+    joined = (values + values.T) != 0
+    side = np.full(values.shape[0], -1)
+    for root in range(side.size):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            b = stack.pop()
+            for c in np.flatnonzero(joined[b]):
+                if side[c] == side[b]:
+                    return None
+                if side[c] < 0:
+                    side[c] = 1 - side[b]
+                    stack.append(c)
+    return side == 1
+
+
+def test_block_sides_match_the_depth_first_colouring():
+    # which side is True picks the small side of a sample's block product, and
+    # with it the bytes of its spectrum
+    rng = np.random.default_rng(8)
+    kinds = {"none": 0, "sides": 0}
+    for _ in range(2400):
+        k = int(rng.integers(1, 9))
+        values = rng.random((k, k)) * (rng.random((k, k)) < rng.random())
+        if rng.random() < 0.6:  # zero within the sides of a random split
+            side = rng.random(k) < 0.5
+            values[np.ix_(side, side)] = 0.0
+            values[np.ix_(~side, ~side)] = 0.0
+        if rng.random() < 0.2:  # a loop on one block
+            b = rng.integers(k)
+            values[b, b] = 0.5
+        isolated = rng.random(k) < 0.3
+        values[isolated] = 0.0
+        values[:, isolated] = 0.0
+        want, got = dfs_block_sides(values), limits._block_sides(values)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == bool and got.tolist() == want.tolist()
+        kinds["none" if want is None else "sides"] += 1
+    assert min(kinds.values()) >= 500
+
+
 def counting(monkeypatch, module, name, sizes):
     solve = getattr(module, name)
 
@@ -312,6 +360,22 @@ def test_convergence_cells_compute_under_the_callers_errstate(monkeypatch):
     seen.clear()
     convergence_experiment(w, [10], 2, epsilon=0.05, seed=3, workers=2)
     assert seen == [np.geterr()] * 2 and seen[0]["over"] != "raise"
+
+
+def test_convergence_pool_starts_no_more_threads_than_cells(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(limits, "ThreadPoolExecutor", RecordingPool)
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    reports = [convergence_report_to_json(convergence_experiment(
+        w, [10, 20], 2, epsilon=0.05, seed=3, workers=workers)) for workers in (1, 2, 64)]
+    assert pools == [1, 2, 4]  # four cells
+    assert reports[0] == reports[1] == reports[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digraphon import (
     IsolationError,
@@ -389,6 +390,64 @@ def test_cluster_matches_dense_clustering_bytes():
         for tol in (1e-7, 1e-2):
             want = dense_cluster_multiplicities(vals, tol, rounds)
             assert spectrum_bits(cluster_multiplicities(vals, tol)) == spectrum_bits(want)
+    # random clouds at tol 1: about 0.3% of them merge over two or more rounds
+    rng = np.random.default_rng(23)
+    rounds = []
+    for _ in range(4000):
+        n = int(rng.integers(4, 14))
+        pts = rng.uniform(-1.3, 1.3, n) + 1j * rng.uniform(-1.3, 1.3, n)
+        want = dense_cluster_multiplicities(pts, 1.0, rounds)
+        assert spectrum_bits(cluster_multiplicities(pts, 1.0)) == spectrum_bits(want)
+    assert sum(r >= 2 for r in rounds) >= 10
+    # extreme tolerances, non-finite inputs and one large coincident cluster
+    tiny = [0.0, 5e-324, 1e-323, 2e-323, 5e-324j, -5e-324, 1e-323 + 1e-323j,
+            1.5e-323 + 1.5e-323j, 1.0]
+    huge = [1.7e308, -1.7e308, 1e308, 1e308j, -1e308 - 1e308j, 1.7e308 - 1.7e308j,
+            -1.7e308 + 1.7e308j, 0.0, 3.0, np.inf]
+    cases = [(tiny, 5e-324), (huge, 5e-324), (tiny, 1e308), (huge, 1e308),
+             ([np.nan] * 3, 1e-8), ([np.inf, -np.inf, complex(np.inf, np.nan)], 1e308),
+             ([complex(np.nan, 1.0), complex(1.0, np.inf), np.inf, np.inf], 1.0),
+             (staged_points(rng, 1e-3, 20), 5e-324), (staged_points(rng, 1e-3, 20), 1e308),
+             ([0.3 + 0.1j] * 2000, 1e-7)]
+    with np.errstate(all="ignore"):
+        for pts, tol in cases:
+            want = dense_cluster_multiplicities(pts, tol, rounds)
+            assert spectrum_bits(cluster_multiplicities(pts, tol)) == spectrum_bits(want)
+
+
+_coordinates = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 8),  # a grid: ties, chains and exact distances
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _coordinates, _coordinates), max_size=40),
+       st.one_of(st.sampled_from([5e-324, 1e-12, 0.125, 0.25, 1.0, 1e308]),
+                 st.floats(5e-324, 1e308)))
+def test_cluster_matches_dense_clustering_bytes_on_generated_points(points, tol):
+    with np.errstate(all="ignore"):
+        want = dense_cluster_multiplicities(points, tol, [])
+        got = cluster_multiplicities(points, tol)
+    assert spectrum_bits(got) == spectrum_bits(want)
+
+
+def test_cluster_component_order_moves_a_last_bit_of_a_later_merge():
+    """A merge round numbers its clusters by their smallest member, the union-find
+    of the dense reference by its root. Here the first round chains a ring of 12
+    points into one cluster whose root is not its smallest member, so the second
+    round, which merges it with two inner points, adds the three in another
+    order: the mass is the same and the centroid moves by one unit in the last
+    place."""
+    ring = 1.9 * np.exp(1j * np.pi * np.arange(12) / 6)
+    base = np.concatenate([ring, [0.6, -0.6]]) + (0.7 + 0.3j)
+    pts = base[[13, 9, 11, 7, 6, 12, 8, 1, 2, 0, 3, 10, 4, 5]]
+    rounds = []
+    (want, mass), = dense_cluster_multiplicities(pts, 1.0, rounds).points
+    (got, got_mass), = cluster_multiplicities(pts, 1.0).points
+    assert rounds == [2] and got_mass == mass == 14
+    assert got.imag == want.imag and got.real == np.nextafter(want.real, 0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
