@@ -1,12 +1,13 @@
 """Executable convergence checks: trace identities, spectral convergence, covers.
 
-Everything here composes the densities, kernels and spectra modules into
+Everything here composes the digraph, stepkernel and spectra modules into
 experiment-shaped routines whose outputs are plain report dataclasses, ready
 to serialize. Statistical routines take explicit seeds and derive one child
 seed per cell, so reports are reproducible cell-by-cell.
 """
 from __future__ import annotations
 
+import os
 import statistics
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from .digraph import (
+    Digraph,
     _require_memory,
     _w_random_draw,
     bidirected_double_cover,
@@ -52,12 +54,13 @@ from .stepkernel import (
     step_from_digraph,
 )
 
-# Resident bytes per n^2 that one converge cell adds at its peak (sample,
-# float64 copy and LAPACK workspace of the eigensolve): 19.5 at n = 1600 and
-# 18.8 at n = 2400 (17.0 traced). With nu-gaps the n x n step kernels, their
-# refinement and the composed operators raise it to 60.5 and 60.0 (49.1 traced).
-_CELL_BYTES_PER_N2 = 20
-_NU_GAPS_CELL_BYTES_PER_N2 = 61
+# Resident bytes per n^2 that one converge cell adds at its peak (ru_maxrss
+# growth, seeds 1-3, n = 1600 and 2400): 25.3 and 24.2 on the half-size
+# bipartite route (crossing surrogate), 19.5 and 18.8 on the whole adjacency
+# (a 3-cycle of blocks). The n x n step kernels and products of nu-gaps raise
+# it to 62.5 and 64.9 (bipartite), 69.0 and 60.2 (whole adjacency).
+_CELL_BYTES_PER_N2 = 26
+_NU_GAPS_CELL_BYTES_PER_N2 = 70
 # Resident bytes per n^2 of one double-cover degree d (n = 4d cover vertices):
 # 31.2 at n = 1600, 32.0 at n = 2400 (26.3 traced), from the float64 matrices
 # of trace_power and the eigensolves; the regular graph takes under 5.
@@ -146,7 +149,13 @@ def cycle_density_via_spectrum(w: StepKernel, ell: int) -> float:
             UserWarning,
             stacklevel=2,
         )
-    total = step_spectrum(w).power_sum(ell)
+    return _real_power_sum(step_spectrum(w), ell)
+
+
+def _real_power_sum(spectrum: Spectrum, ell: int) -> float:
+    """The real part of spectrum.power_sum(ell); NumericalError when its
+    imaginary part exceeds _IMAG_TOL, the size of rounding."""
+    total = spectrum.power_sum(ell)
     if abs(total.imag) > _IMAG_TOL:
         raise NumericalError(
             f"imaginary residue {total.imag:.3e} of the power sum exceeds {_IMAG_TOL:.1e}"
@@ -159,14 +168,15 @@ def verify_trace_formula(w: StepKernel, ell_max: int) -> list[TraceCheckReport]:
 
     The left side enumerates block maps (exact finite sum), the right side
     sums mult * lam^ell over the nonzero spectrum; the two are computed
-    independently of each other.
+    independently of each other. The spectrum is solved once for all lengths.
     """
     if ell_max < 3:
         raise ValueError("ell_max must be at least 3")
+    spectrum = step_spectrum(w)
     reports = []
     for ell in range(3, ell_max + 1):
         lhs = hom_density_step(cycle_digraph(ell), w)
-        rhs = cycle_density_via_spectrum(w, ell)
+        rhs = _real_power_sum(spectrum, ell)
         reports.append(TraceCheckReport(ell, lhs, rhs, abs(lhs - rhs)))
     return reports
 
@@ -175,12 +185,29 @@ def verify_trace_formula(w: StepKernel, ell_max: int) -> list[TraceCheckReport]:
 # sampled convergence
 
 
-def _limit_point_set(limit: Spectrum, sample_size: int) -> np.ndarray:
-    # The zero spectral point joins the target set only once the sample is
-    # large enough that pigeonhole forces a small observed eigenvalue
-    # (more vertices than total nonzero multiplicity).
-    include_zero = sample_size > limit.total_multiplicity
-    return limit.point_set(include_zero=include_zero)
+def _isolated_limit(w: StepKernel, epsilon: float) -> Spectrum:
+    """The nonzero spectrum of w, each of whose points epsilon must isolate."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    limit = step_spectrum(w)
+    for v, _ in limit.points:
+        check_isolation(limit, v, epsilon)
+    return limit
+
+
+def _row(w: StepKernel, limit: Spectrum, epsilon: float, n: int, seed: int | None,
+         observed: Spectrum, limit_zero: bool, wn: StepKernel | None) -> ConvergenceRow:
+    """The row of observed against w's limit spectrum: the Hausdorff distance
+    of their point sets (0 in the limit's only when limit_zero), a ledger per
+    limit point, and the nu-gaps of wn against w unless wn is None."""
+    h = hausdorff_distance(observed.point_set(), limit.point_set(limit_zero))
+    ledgers = tuple(multiplicity_match(limit, observed, v, epsilon) for v, _ in limit.points)
+    gaps = None
+    if wn is not None:
+        rn, rw = common_refinement(wn, w)
+        del wn  # a sample's n x n kernel: free it before the gaps' products
+        gaps = nu_convergence_gaps(rn, rw)
+    return ConvergenceRow(n, seed, observed, h, ledgers, gaps)
 
 
 def _block_sides(values: np.ndarray) -> np.ndarray | None:
@@ -219,10 +246,11 @@ def convergence_experiment(
     zero within each side, every sample is bipartite along the sides of its
     vertices' block labels and is solved from the half-size product of its
     two off-diagonal blocks (spectra._bipartite_eigenvalues); otherwise from
-    its whole adjacency. Cells run on a pool of workers (>= 1) threads, each
-    under the caller's numpy floating-point error handling. Every eigensolve
-    runs on one BLAS thread, so the parallelism is the pool's alone and the
-    report's bytes do not depend on either thread count.
+    its whole adjacency. Cells run on a pool of workers (>= 1) threads, but
+    no more threads than CPUs or cells, each under the caller's numpy
+    floating-point error handling. Every eigensolve runs on one BLAS thread,
+    so the parallelism is the pool's alone and the report's bytes do not
+    depend on either thread count.
     Before any sampling, a BudgetError rejects runs whose concurrent cells at
     the largest n, together with the report of every cell, would not fit in
     physical memory.
@@ -236,32 +264,24 @@ def convergence_experiment(
         raise ValueError("sizes must be positive")
     if seeds_per_size < 1:
         raise ValueError("seeds_per_size must be at least 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    limit = _isolated_limit(w, epsilon)
     n = sizes[-1]
     count = len(sizes) * seeds_per_size
-    concurrent = min(workers, count)
+    concurrent = min(workers, count, os.cpu_count() or 1)
     per_n2 = _NU_GAPS_CELL_BYTES_PER_N2 if nu_gaps else _CELL_BYTES_PER_N2
     report = seeds_per_size * (sum(sizes) * _REPORT_BYTES_PER_EIGENVALUE
                                + len(sizes) * _REPORT_BYTES_PER_CELL)
     _require_memory(concurrent * per_n2 * n * n + report,
                     f"{count} converge cell(s), {concurrent} at a time at n={n}")
-    limit = step_spectrum(w)
-    for v, _ in limit.points:
-        check_isolation(limit, v, epsilon)
     sides = _block_sides(w.values)
     errstate = np.geterr()  # pool threads start from numpy's defaults
-
-    cells = [
-        (i, j, n, child_seed(seed, i, j))
-        for i, n in enumerate(sizes)
-        for j in range(seeds_per_size)
-    ]
+    cells = [(n, child_seed(seed, i, j))
+             for i, n in enumerate(sizes) for j in range(seeds_per_size)]
 
     def run_cell(cell) -> ConvergenceRow:
-        _, _, n, cell_seed = cell
+        n, cell_seed = cell
         with np.errstate(**errstate):
             g, labels = _w_random_draw(w, n, cell_seed)
             if sides is None:
@@ -269,15 +289,10 @@ def convergence_experiment(
             else:
                 vals = _bipartite_eigenvalues(g.adj, sides[labels])
                 observed = _adjacency_spectrum(vals, n, n, None)
-            h = hausdorff_distance(observed.point_set(), _limit_point_set(limit, n))
-            ledgers = tuple(
-                multiplicity_match(limit, observed, v, epsilon) for v, _ in limit.points
-            )
-            gaps = None
-            if nu_gaps:
-                rn, rw = common_refinement(step_from_digraph(g), w)
-                gaps = nu_convergence_gaps(rn, rw)
-            return ConvergenceRow(n, cell_seed, observed, h, ledgers, gaps)
+            # The limit's zero point joins once pigeonhole forces a small
+            # observed eigenvalue (more vertices than nonzero limit mass).
+            return _row(w, limit, epsilon, n, cell_seed, observed, n > limit.total_multiplicity,
+                        step_from_digraph(g) if nu_gaps else None)
 
     with ThreadPoolExecutor(max_workers=concurrent) as pool:
         return ConvergenceReport(limit, tuple(pool.map(run_cell, cells)))
@@ -295,24 +310,10 @@ def step_sequence_convergence(
     """
     if not ws:
         raise ValueError("sequence must be non-empty")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    limit = step_spectrum(w)
-    for v, _ in limit.points:
-        check_isolation(limit, v, epsilon)
-    rows = []
-    for i, wn in enumerate(ws):
-        observed = step_spectrum(wn)
-        h = hausdorff_distance(
-            observed.point_set(include_zero=True), limit.point_set(include_zero=True)
-        )
-        ledgers = tuple(
-            multiplicity_match(limit, observed, v, epsilon) for v, _ in limit.points
-        )
-        rn, rw = common_refinement(wn, w)
-        gaps = nu_convergence_gaps(rn, rw)
-        rows.append(ConvergenceRow(i + 1, None, observed, h, ledgers, gaps))
-    return ConvergenceReport(limit, tuple(rows))
+    limit = _isolated_limit(w, epsilon)
+    return ConvergenceReport(limit, tuple(
+        _row(w, limit, epsilon, i, None, step_spectrum(wn), True, wn)
+        for i, wn in enumerate(ws, start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,18 @@ def _match_multisets(observed: np.ndarray, expected: np.ndarray) -> float:
     cost = np.abs(observed[:, None] - expected[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def _cover_diagnostics(h: Digraph, solve, expected: np.ndarray,
+                       targets: np.ndarray) -> tuple[float, dict[int, float], float]:
+    """Of one cover h: the match error of solve(adjacency) against the expected
+    eigenvalues, the cycle densities, and the Hausdorff distance of the
+    normalized spectrum (from the same eigenvalues) to targets."""
+    eig = solve(h.adj.astype(np.float64))
+    # t(C_ell, H) = Tr(A^ell) / n^ell: the cycle's homomorphism count, exactly
+    densities = {ell: trace_power(h, ell) / h.n**ell for ell in _COVER_CYCLES}
+    dist = hausdorff_distance(_adjacency_spectrum(eig, h.n, h.n, None).point_set(), targets)
+    return _match_multisets(eig, expected), densities, dist
 
 
 @one_blas_thread()
@@ -357,8 +370,6 @@ def double_cover_example(
     for idx, d in enumerate(degrees):
         cell_seed = child_seed(seed, idx)
         a = random_regular_graph(2 * d, d, cell_seed)
-        h_bi = bidirected_double_cover(a)
-        h_one = oneway_double_cover(a)
         tol = spectral_tol if spectral_tol is not None else 1e-5 * d
 
         lam = _symmetric_eigenvalues(a.adj.astype(np.float64)).real[::-1]
@@ -366,44 +377,18 @@ def double_cover_example(
             raise NumericalError(
                 f"top eigenvalue {lam[0]:.6f} of a {d}-regular graph is not {d}"
             )
-
-        expected_bi = np.concatenate([lam, -lam]).astype(np.complex128)
-        eig_bi = _symmetric_eigenvalues(h_bi.adj.astype(np.float64))
-        err_bi = _match_multisets(eig_bi, expected_bi)
-
+        bi = _cover_diagnostics(bidirected_double_cover(a), _symmetric_eigenvalues,
+                                np.concatenate([lam, -lam]), targets)
         rest = lam[1:]
-        expected_one = np.concatenate(
-            [[d, -d], 1j * rest, -1j * rest]
-        ).astype(np.complex128)
-        eig_one = eigenvalues(h_one.adj.astype(np.float64))
-        err_one = _match_multisets(eig_one, expected_one)
-
-        if err_bi > tol or err_one > tol:
+        one = _cover_diagnostics(oneway_double_cover(a), eigenvalues,
+                                 np.concatenate([[d, -d], 1j * rest, -1j * rest]), targets)
+        if bi[0] > tol or one[0] > tol:
             raise NumericalError(
                 f"double-cover spectra deviate from the block identities "
-                f"(errors {err_bi:.3e}, {err_one:.3e} at degree {d})"
+                f"(errors {bi[0]:.3e}, {one[0]:.3e} at degree {d})"
             )
-
-        # t(C_ell, H) = Tr(A^ell) / n^ell: the cycle's homomorphism count, exactly
-        dens_bi = {ell: trace_power(h_bi, ell) / h_bi.n**ell for ell in _COVER_CYCLES}
-        dens_one = {ell: trace_power(h_one, ell) / h_one.n**ell for ell in _COVER_CYCLES}
-        # the normalized spectra reuse the eigenvalues solved above
-        h_bi_dist = hausdorff_distance(
-            _adjacency_spectrum(eig_bi, h_bi.n, h_bi.n, None).point_set(), targets)
-        h_one_dist = hausdorff_distance(
-            _adjacency_spectrum(eig_one, h_one.n, h_one.n, None).point_set(), targets)
-        rows.append(
-            DoubleCoverRow(
-                degree=d,
-                seed=cell_seed,
-                spectrum_match_bidirected=err_bi,
-                spectrum_match_oneway=err_one,
-                cycle_density_bidirected=dens_bi,
-                cycle_density_oneway=dens_one,
-                hausdorff_bidirected=h_bi_dist,
-                hausdorff_oneway=h_one_dist,
-            )
-        )
+        # each diagnostic is a DoubleCoverRow field pair: bidirected, then one-way
+        rows.append(DoubleCoverRow(d, cell_seed, *(x for pair in zip(bi, one) for x in pair)))
     return DoubleCoverReport(tuple(rows), tuple(complex(t) for t in targets))
 
 
@@ -412,30 +397,30 @@ def double_cover_example(
 
 
 def _ledger_obj(ledger: MultiplicityLedger) -> dict:
-    return {
-        "target_re": ledger.target.real,
-        "target_im": ledger.target.imag,
-        "epsilon": ledger.epsilon,
-        "matched_mass": ledger.matched_mass,
-        "expected": ledger.expected,
-    }
+    obj = asdict(ledger)
+    target = obj.pop("target")
+    return {"target_re": target.real, "target_im": target.imag, **obj}
+
+
+# JSON of the row fields that are not JSON values as they stand
+_ROW_JSON = {
+    "observed": spectrum_to_json,
+    "ledgers": lambda ledgers: [_ledger_obj(l) for l in ledgers],
+    "nu_gaps": lambda gaps: None if gaps is None else list(gaps),
+}
 
 
 def convergence_report_to_json(report: ConvergenceReport) -> dict:
+    """The limit spectrum, the median Hausdorff distance per n, and each row
+    under the field names of ConvergenceRow."""
     return {
         "limit_spectrum": spectrum_to_json(report.limit_spectrum),
         "median_hausdorff_by_n": {
             str(n): v for n, v in report.median_hausdorff_by_n().items()
         },
         "rows": [
-            {
-                "n": row.n,
-                "seed": row.seed,
-                "hausdorff": row.hausdorff,
-                "observed": spectrum_to_json(row.observed),
-                "ledgers": [_ledger_obj(l) for l in row.ledgers],
-                "nu_gaps": list(row.nu_gaps) if row.nu_gaps is not None else None,
-            }
+            {f.name: _ROW_JSON.get(f.name, lambda v: v)(getattr(row, f.name))
+             for f in fields(ConvergenceRow)}
             for row in report.rows
         ],
     }

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -514,6 +516,21 @@ def test_help_still_prints_usage(capsys):
         main(["sample", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: digraphon sample")
+
+
+def test_readme_synopsis_lists_every_flag_of_every_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        _, command, *words = line.split()
+        synopsis[command] = set(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    ignored = {"--out-dir", "--format", "-h", "--help"}
+    flags = {name: {o for a in p._actions for o in a.option_strings} - ignored
+             for name, p in sub.choices.items()}
+    assert {name: f - ignored for name, f in synopsis.items()} == flags
 
 
 def test_config_records_tol_and_nu_gaps_only_when_set(digraphon_file, crossing_kernel_file, tmp_path):

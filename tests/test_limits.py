@@ -99,6 +99,24 @@ def test_verify_trace_formula_zero_kernel():
     assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in verify_trace_formula(w, 5))
 
 
+def test_verify_trace_formula_solves_the_spectrum_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = random_digraphon(rng, 4)
+    calls = []
+    solve = limits.step_spectrum
+
+    def counted(kernel, *args):
+        calls.append(kernel)
+        return solve(kernel, *args)
+
+    monkeypatch.setattr(limits, "step_spectrum", counted)
+    reports = verify_trace_formula(w, 8)
+    assert calls == [w]
+    for report in reports:
+        assert report.rhs == cycle_density_via_spectrum(w, report.ell)
+    assert [r.ell for r in reports] == [3, 4, 5, 6, 7, 8]
+
+
 def test_verify_trace_formula_requires_three():
     with pytest.raises(ValueError):
         verify_trace_formula(crossing_kernel(), 2)
@@ -172,13 +190,14 @@ def test_double_cover_example_budgets_its_largest_degree_first(monkeypatch):
 
 
 def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
-    # With 4 MB of physical memory one n = 400 cell fits (20 B/n^2, the
+    # With 5 MB of physical memory one n = 400 cell fits (26 B/n^2, the
     # sampler's own 3 B/n^2 too, and the 0.57 MB of its report); two
-    # concurrent cells, or one with nu-gaps (61 B/n^2), are rejected before
+    # concurrent cells, or one with nu-gaps (70 B/n^2), are rejected before
     # anything is sampled.
-    fake = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4000}
+    fake = {"SC_PHYS_PAGES": 1250, "SC_PAGE_SIZE": 4000}
     real = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real(name))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two cells may run at once
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     assert len(convergence_experiment(w, [400], 1, epsilon=0.05, seed=1, workers=2).rows) == 1
 
@@ -362,7 +381,8 @@ def test_convergence_cells_compute_under_the_callers_errstate(monkeypatch):
     assert seen == [np.geterr()] * 2 and seen[0]["over"] != "raise"
 
 
-def test_convergence_pool_starts_no_more_threads_than_cells(monkeypatch):
+def recording_pools(monkeypatch, cpus):
+    """The max_workers of every pool convergence_experiment starts, on cpus CPUs."""
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -371,11 +391,24 @@ def test_convergence_pool_starts_no_more_threads_than_cells(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(limits, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def test_convergence_pool_starts_no_more_threads_than_cells(monkeypatch):
+    pools = recording_pools(monkeypatch, 64)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     reports = [convergence_report_to_json(convergence_experiment(
         w, [10, 20], 2, epsilon=0.05, seed=3, workers=workers)) for workers in (1, 2, 64)]
     assert pools == [1, 2, 4]  # four cells
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_convergence_pool_starts_no_more_threads_than_cpus(monkeypatch):
+    pools = recording_pools(monkeypatch, 2)
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    report = convergence_experiment(w, [10, 20], 4, epsilon=0.05, seed=3, workers=10**5)
+    assert len(report.rows) == 8 and pools == [2]
 
 
 # ---------------------------------------------------------------------------
