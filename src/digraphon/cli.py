@@ -1,8 +1,9 @@
 """Command-line entry point: file-based inputs, machine-readable outputs.
 
 Exit codes: 0 success, 2 validation or schema error, 3 enumeration budget or
-generation failure, 4 numerical failure (floating overflow and non-finite
-results included). Errors are emitted as one JSON object on stderr. Outputs
+generation failure, or a worker process that died (an out-of-memory kill or a
+signal), 4 numerical failure (floating overflow and non-finite results
+included). Errors are emitted as one JSON object on stderr. Outputs
 are written atomically (temp file then rename) and embed the invoking
 configuration and master seed; identical configuration and seed give
 byte-identical files.
@@ -15,6 +16,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable, Iterable
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -182,7 +184,7 @@ def run(args: argparse.Namespace) -> int:
             path = Path(args.out_dir) / f"{stem}.json"
             _write_atomic(path, command.to_json(result, {"config": config}))
         return _EXIT_OK
-    except (BudgetError, GenerationError) as exc:
+    except (BudgetError, GenerationError, BrokenExecutor) as exc:  # a dead worker process
         _emit_error(exc)
         return _EXIT_BUDGET
     except (NumericalError, OverflowError, FloatingPointError) as exc:
@@ -276,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _workers_from_env() -> int:
-    """Pool size from DIGRAPHON_THREADS: unset means 1, 0 means one per CPU,
-    and no value gives more threads than CPUs."""
+    """Worker processes for converge from DIGRAPHON_THREADS (named when the
+    pool was threads): unset means 1, which forks none, 0 means one per CPU,
+    and no value gives more processes than CPUs."""
     raw = os.environ.get("DIGRAPHON_THREADS", "1") or "1"
     if not raw.strip().isdecimal():
         raise ValueError(f"DIGRAPHON_THREADS must be a non-negative integer, got {raw!r}")

@@ -7,11 +7,12 @@ seed per cell, so reports are reproducible cell-by-cell.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -55,11 +56,13 @@ from .stepkernel import (
 )
 
 # Resident bytes per n^2 that one converge cell adds at its peak (ru_maxrss
-# growth, seeds 1-3, n = 1600 and 2400): 25.3 and 24.2 on the half-size
-# bipartite route (crossing surrogate), 19.5 and 18.8 on the whole adjacency
-# (a 3-cycle of blocks). The n x n step kernels and products of nu-gaps raise
-# it to 62.5 and 64.9 (bipartite), 69.0 and 60.2 (whole adjacency).
-_CELL_BYTES_PER_N2 = 26
+# growth, seeds 1-3, n = 1600 and 2400): 9.0 and 8.1 on the half-size
+# bipartite route (crossing surrogate; only B and C leave the int8
+# adjacency as float64), 19.2 and 18.5 on the whole adjacency (a 3-cycle of
+# blocks). The n x n step kernels and products of nu-gaps raise it to 62.0
+# and 60.8 (bipartite), 68.2 and 59.8 (whole adjacency). Each worker process
+# holds one cell, so a run holds as many cells as it has workers.
+_CELL_BYTES_PER_N2 = 20
 _NU_GAPS_CELL_BYTES_PER_N2 = 70
 # Resident bytes per n^2 of one double-cover degree d (n = 4d cover vertices):
 # 31.2 at n = 1600, 32.0 at n = 2400 (26.3 traced), from the float64 matrices
@@ -227,6 +230,57 @@ def _block_sides(values: np.ndarray) -> np.ndarray | None:
     return labels[:k] > labels[k:]
 
 
+def _converge_cell(w: StepDigraphon, limit: Spectrum, epsilon: float, nu_gaps: bool,
+                   sides: np.ndarray | None, errstate: dict,
+                   cell: tuple[int, int]) -> ConvergenceRow:
+    """The row of one (n, seed) cell of convergence_experiment, computed under
+    the numpy errstate given: a W-random draw of n vertices, solved from the
+    half-size block product when sides 2-colour w's blocks, else whole."""
+    n, cell_seed = cell
+    with np.errstate(**errstate):
+        g, labels = _w_random_draw(w, n, cell_seed)
+        if sides is None:
+            observed = normalized_spectrum(g)
+        else:
+            vals = _bipartite_eigenvalues(g.adj, sides[labels])
+            observed = _adjacency_spectrum(vals, n, n, None)
+        # The limit's zero point joins once pigeonhole forces a small
+        # observed eigenvalue (more vertices than nonzero limit mass).
+        return _row(w, limit, epsilon, n, cell_seed, observed, n > limit.total_multiplicity,
+                    step_from_digraph(g) if nu_gaps else None)
+
+
+_worker_cell = None  # in a forked worker process: the cell function of its pool
+
+
+def _start_worker(run_cell) -> None:
+    global _worker_cell
+    _worker_cell = run_cell
+
+
+def _run_worker_cell(cell):
+    return _worker_cell(cell)
+
+
+def _map_cells(processes: int, run_cell, cells: list) -> list[ConvergenceRow]:
+    """run_cell over cells, in order: in this process when processes is 1, else
+    on that many worker processes. Each worker gets run_cell through fork, not
+    pickle, so only the cells go out and only the rows come back. No worker
+    outlives the call, and cells not yet started are dropped on an error."""
+    if processes == 1:
+        return list(map(run_cell, cells))
+    # loaded here, so that runs which fork nothing do not pay for the import
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        processes, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(run_cell,))
+    try:
+        return list(pool.map(_run_worker_cell, cells))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @one_blas_thread()
 def convergence_experiment(
     w: StepDigraphon,
@@ -246,14 +300,20 @@ def convergence_experiment(
     zero within each side, every sample is bipartite along the sides of its
     vertices' block labels and is solved from the half-size product of its
     two off-diagonal blocks (spectra._bipartite_eigenvalues); otherwise from
-    its whole adjacency. Cells run on a pool of workers (>= 1) threads, but
-    no more threads than CPUs or cells, each under the caller's numpy
-    floating-point error handling. Every eigensolve runs on one BLAS thread,
-    so the parallelism is the pool's alone and the report's bytes do not
-    depend on either thread count.
-    Before any sampling, a BudgetError rejects runs whose concurrent cells at
-    the largest n, together with the report of every cell, would not fit in
-    physical memory.
+    its whole adjacency. Cells run on workers (>= 1) processes, but no more
+    than CPUs or cells, each under the caller's numpy floating-point error
+    handling; with one, they run in the calling process. The processes are
+    forked (POSIX only), so that they inherit w and the limit without
+    re-importing numpy. They are processes because numpy's eigvals holds the
+    interpreter lock for a whole solve (a pure-Python thread spinning beside
+    400 x 400 solves runs at about a tenth of its speed beside sleep or an
+    svd), so threads would solve one cell at a time. Every eigensolve runs on
+    one BLAS thread, a pin the workers inherit, so the parallelism is the
+    pool's alone and the report's bytes depend on neither count.
+    Before any sampling or fork, a BudgetError rejects runs whose concurrent
+    cells at the largest n, together with the report of every cell, would
+    not fit in physical memory. A worker that dies (an out-of-memory kill, a
+    signal) raises BrokenProcessPool.
     """
     if not isinstance(w, StepDigraphon):
         raise TypeError("convergence_experiment requires a StepDigraphon")
@@ -275,27 +335,11 @@ def convergence_experiment(
                                + len(sizes) * _REPORT_BYTES_PER_CELL)
     _require_memory(concurrent * per_n2 * n * n + report,
                     f"{count} converge cell(s), {concurrent} at a time at n={n}")
-    sides = _block_sides(w.values)
-    errstate = np.geterr()  # pool threads start from numpy's defaults
     cells = [(n, child_seed(seed, i, j))
              for i, n in enumerate(sizes) for j in range(seeds_per_size)]
-
-    def run_cell(cell) -> ConvergenceRow:
-        n, cell_seed = cell
-        with np.errstate(**errstate):
-            g, labels = _w_random_draw(w, n, cell_seed)
-            if sides is None:
-                observed = normalized_spectrum(g)
-            else:
-                vals = _bipartite_eigenvalues(g.adj, sides[labels])
-                observed = _adjacency_spectrum(vals, n, n, None)
-            # The limit's zero point joins once pigeonhole forces a small
-            # observed eigenvalue (more vertices than nonzero limit mass).
-            return _row(w, limit, epsilon, n, cell_seed, observed, n > limit.total_multiplicity,
-                        step_from_digraph(g) if nu_gaps else None)
-
-    with ThreadPoolExecutor(max_workers=concurrent) as pool:
-        return ConvergenceReport(limit, tuple(pool.map(run_cell, cells)))
+    run_cell = partial(_converge_cell, w, limit, epsilon, nu_gaps, _block_sides(w.values),
+                       np.geterr())
+    return ConvergenceReport(limit, tuple(_map_cells(concurrent, run_cell, cells)))
 
 
 def step_sequence_convergence(

@@ -94,12 +94,16 @@ def default_cluster_tol(n: int, max_abs: float) -> float:
     return max(1e-7, 1e-8 * n * max_abs)
 
 
-def _finite_square(m) -> np.ndarray:
-    """m as a float64 array; ValueError unless it is square, non-empty and finite."""
-    a = np.asarray(m, dtype=np.float64)
+def _finite_square(m, integers: bool = False) -> np.ndarray:
+    """m as a float64 array, or as it stands when integers is set and m holds
+    integers or bools; ValueError unless it is square, non-empty and finite."""
+    a = np.asarray(m)
+    exact = integers and a.dtype.kind in "biu"
+    if not exact:
+        a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
-    if not np.isfinite(a).all():
+    if not exact and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -121,7 +125,7 @@ def _checked_solve(solve, a: np.ndarray) -> np.ndarray:
     if not np.array_equal(vals, np.sort_complex(vals.conj())):
         raise NumericalError("eigenvalue list is not closed under conjugation")
     residual = abs(vals.sum() - np.trace(a))
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, float(a.max()), -float(a.min()))  # max |a|, with no n x n temporary
     if residual > 1e-6 * a.shape[0] * scale:
         raise NumericalError(
             f"eigenvalue sum deviates from the trace by {residual:.3e}"
@@ -159,9 +163,10 @@ def _bipartite_eigenvalues(m: np.ndarray, side) -> np.ndarray:
     det(lam^2 I - B C), so its spectrum is +-sqrt(mu) over the eigenvalues
     mu of the p x p product B C (dgeev) and q - p zeros. Near 0 the square
     root amplifies the solver's error to about sqrt(u |B| |C|). Raises
-    ValueError unless both same-side blocks of m are exactly zero.
+    ValueError unless both same-side blocks of m are exactly zero. An integer
+    m is checked as it stands and only B and C are converted to float64.
     """
-    a = _finite_square(m)
+    a = _finite_square(m, integers=True)
     side = np.asarray(side, dtype=bool)
     if side.shape != (a.shape[0],):
         raise ValueError("side must be a bool mask with one entry per row")
@@ -172,7 +177,8 @@ def _bipartite_eigenvalues(m: np.ndarray, side) -> np.ndarray:
 
     def solve(a):
         # for 0/1 entries every entry of B C is an exact integer below 2^53
-        bc = a[np.ix_(small, large)] @ a[np.ix_(large, small)]
+        bc = (a[np.ix_(small, large)].astype(np.float64, copy=False)
+              @ a[np.ix_(large, small)].astype(np.float64, copy=False))
         root = np.sqrt(np.linalg.eigvals(bc).astype(np.complex128))
         zeros = np.zeros(np.count_nonzero(large) - root.size, np.complex128)
         vals = np.concatenate([root, -root, zeros])
@@ -210,11 +216,12 @@ _unpinned_threads = 0
 def one_blas_thread():
     """Run the block with one OpenBLAS thread; restore the caller's count on exit.
 
-    Enter it from the calling thread before any worker threads start. A
-    multi-threaded dgeev sums in a different order than a single-threaded
-    one, so pinning makes eigenvalue bytes independent of the BLAS thread
-    count, and it leaves the CPUs to the experiment's own thread pool. Does
-    nothing when numpy's bundled OpenBLAS is not found.
+    Enter it from the calling thread before any worker threads or processes
+    start; forked workers inherit the pin. A multi-threaded dgeev sums in a
+    different order than a single-threaded one, so pinning makes eigenvalue
+    bytes independent of the BLAS thread count, and it leaves the CPUs to the
+    experiment's own worker processes. Does nothing when numpy's bundled
+    OpenBLAS is not found.
     """
     global _pins, _unpinned_threads
     fns = _openblas_threads()

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -319,6 +320,44 @@ def test_non_finite_result_exits_4_and_writes_no_file(monkeypatch, digraphon_fil
     assert main(["cutnorm", "--kernel", digraphon_file, "--out-dir", str(out)]) == 4
     assert _one_error_line(capsys.readouterr().err)["error"] == "NumericalError"
     assert not out.exists()
+
+
+def _run_converge_on_two_workers(monkeypatch, digraphon_file, out, cell):
+    """Exit code of converge on two forked worker processes whose cells call cell()."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("DIGRAPHON_THREADS", "2")
+    monkeypatch.setattr(digraphon.limits, "_converge_cell", lambda *args: cell())
+    return main(["converge", "--kernel", digraphon_file, "--sizes", "10,20",
+                 "--seeds-per-size", "2", "--epsilon", "0.05", "--seed", "1",
+                 "--out-dir", str(out)])
+
+
+def test_exit_3_with_one_json_line_when_a_worker_process_dies(
+        monkeypatch, digraphon_file, tmp_path, capfd):
+    caller = os.getpid()
+
+    def die():
+        # the patch reaches the workers by fork; the calling process must not run cells
+        assert os.getpid() != caller, "a cell ran in the calling process"
+        os._exit(9)
+
+    out = tmp_path / "out"
+    assert _run_converge_on_two_workers(monkeypatch, digraphon_file, out, die) == 3
+    captured = capfd.readouterr()
+    assert _one_error_line(captured.err)["error"] == "BrokenProcessPool"
+    assert captured.out == "" and not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_floating_point_error_exits_4(monkeypatch, digraphon_file, tmp_path, capfd):
+    def overflow():
+        return np.float64(1e308) * np.float64(10.0)
+
+    out = tmp_path / "out"
+    assert _run_converge_on_two_workers(monkeypatch, digraphon_file, out, overflow) == 4
+    err = _one_error_line(capfd.readouterr().err)
+    assert err["error"] == "FloatingPointError" and "overflow" in err["message"]
+    assert not out.exists() and multiprocessing.active_children() == []
 
 
 def test_exit_3_when_double_cover_exceeds_physical_memory(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import concurrent.futures
+import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,8 +149,8 @@ def test_convergence_experiment_rows_sorted_and_deterministic():
 def test_convergence_experiment_parallel_matches_serial():
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     serial = convergence_experiment(w, [10, 20], 3, epsilon=0.05, seed=5, workers=1)
-    threaded = convergence_experiment(w, [10, 20], 3, epsilon=0.05, seed=5, workers=4)
-    for rs, rt in zip(serial.rows, threaded.rows):
+    forked = convergence_experiment(w, [10, 20], 3, epsilon=0.05, seed=5, workers=4)
+    for rs, rt in zip(serial.rows, forked.rows):
         assert rs.seed == rt.seed and rs.hausdorff == rt.hausdorff
 
 
@@ -190,7 +192,7 @@ def test_double_cover_example_budgets_its_largest_degree_first(monkeypatch):
 
 
 def test_convergence_experiment_budgets_concurrent_cells(monkeypatch):
-    # With 5 MB of physical memory one n = 400 cell fits (26 B/n^2, the
+    # With 5 MB of physical memory one n = 400 cell fits (20 B/n^2, the
     # sampler's own 3 B/n^2 too, and the 0.57 MB of its report); two
     # concurrent cells, or one with nu-gaps (70 B/n^2), are rejected before
     # anything is sampled.
@@ -239,25 +241,51 @@ def test_convergence_experiment_nu_gaps_optional():
     assert g1 >= 0.0 and g2 >= 0.0
 
 
-def test_convergence_experiment_pins_and_restores_blas_threads(monkeypatch):
+class Observations:
+    """A list that forked worker processes append to as well: each append is
+    one JSON line in a file, which the caller reads back."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def append(self, value) -> None:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(value) + "\n")
+
+    def read(self) -> list:
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+    def clear(self) -> None:
+        self.path.write_text("", encoding="utf-8")
+
+
+@pytest.fixture
+def observations(tmp_path):
+    return Observations(tmp_path / "observations.jsonl")
+
+
+def test_convergence_experiment_pins_and_restores_blas_threads(monkeypatch, observations):
     fns = spectra._openblas_threads()
     if fns is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
     get, set_ = fns
-    seen = []
     solve = limits._bipartite_eigenvalues  # the crossing kernel's blocks 2-colour
 
     def recording_solve(m, side):
-        seen.append(get())
+        observations.append(get())
         return solve(m, side)
 
     monkeypatch.setattr(limits, "_bipartite_eigenvalues", recording_solve)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     before = get()
     set_(2)
     try:
-        convergence_experiment(w, [20, 40], 2, epsilon=0.05, seed=3, workers=2)
-        assert seen == [1] * 4 and get() == 2
+        for workers in (1, 2):  # in this process, then on two forked workers
+            observations.clear()
+            convergence_experiment(w, [20, 40], 2, epsilon=0.05, seed=3, workers=workers)
+            assert observations.read() == [1] * 4 and get() == 2
         # 0 lies within 2 * epsilon of the limit points +-1/8
         with pytest.raises(IsolationError):
             convergence_experiment(w, [20], 1, epsilon=0.1, seed=3, workers=2)
@@ -327,6 +355,8 @@ def test_block_sides_match_the_depth_first_colouring():
 
 
 def counting(monkeypatch, module, name, sizes):
+    """Append the size of every matrix module.name solves to sizes (Observations,
+    so that solves in worker processes count too)."""
     solve = getattr(module, name)
 
     def counted(m, *args):
@@ -336,79 +366,162 @@ def counting(monkeypatch, module, name, sizes):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_convergence_experiment_solves_bipartite_samples_on_the_half_size_product(monkeypatch):
-    general, bipartite = [], []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convergence_experiment_solves_bipartite_samples_on_the_half_size_product(
+        monkeypatch, tmp_path, workers):
+    general = Observations(tmp_path / "general.jsonl")
+    bipartite = Observations(tmp_path / "bipartite.jsonl")
     counting(monkeypatch, spectra, "eigenvalues", general)
     counting(monkeypatch, limits, "_bipartite_eigenvalues", bipartite)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     crossing = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
-    report = convergence_experiment(crossing, [50, 100], 2, epsilon=0.05, seed=3)
-    assert general == [2] and bipartite == [50, 50, 100, 100]  # the limit, then each cell
+    report = convergence_experiment(crossing, [50, 100], 2, epsilon=0.05, seed=3,
+                                    workers=workers)
+    # the limit, then each cell
+    assert general.read() == [2] and sorted(bipartite.read()) == [50, 50, 100, 100]
     for row in report.rows:
         g = sample_w_random(crossing, row.n, row.seed)
         full = spectra.normalized_spectrum(g)
         assert spectra.hausdorff_distance(row.observed.point_set(), full.point_set()) <= 1e-10
 
 
-def test_convergence_experiment_falls_back_to_dgeev_when_blocks_do_not_two_colour(monkeypatch):
-    general, bipartite = [], []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convergence_experiment_falls_back_to_dgeev_when_blocks_do_not_two_colour(
+        monkeypatch, tmp_path, workers):
+    general = Observations(tmp_path / "general.jsonl")
+    bipartite = Observations(tmp_path / "bipartite.jsonl")
     counting(monkeypatch, spectra, "eigenvalues", general)
     counting(monkeypatch, limits, "_bipartite_eigenvalues", bipartite)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cycle = StepDigraphon(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.6], [0.6, 0.0, 0.0]]),
                           uniform_measures(3))
-    report = convergence_experiment(cycle, [10, 20], 2, epsilon=0.05, seed=3)
-    assert general == [3, 10, 10, 20, 20] and bipartite == []
+    report = convergence_experiment(cycle, [10, 20], 2, epsilon=0.05, seed=3, workers=workers)
+    sizes = general.read()
+    assert sizes[0] == 3 and sorted(sizes[1:]) == [10, 10, 20, 20] and bipartite.read() == []
     for row in report.rows:
         full = spectra.normalized_spectrum(sample_w_random(cycle, row.n, row.seed))
         assert row.observed.points == full.points
 
 
-def test_convergence_cells_compute_under_the_callers_errstate(monkeypatch):
-    seen = []
+def test_convergence_cells_compute_under_the_callers_errstate(monkeypatch, observations):
     solve = limits._bipartite_eigenvalues
 
     def recording_solve(m, side):
-        seen.append(np.geterr())
+        observations.append(np.geterr())
         return solve(m, side)
 
     monkeypatch.setattr(limits, "_bipartite_eigenvalues", recording_solve)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     with np.errstate(over="raise", invalid="raise"):
         caller = np.geterr()
         convergence_experiment(w, [10, 20], 2, epsilon=0.05, seed=3, workers=2)
-    assert caller["over"] == "raise" and seen == [caller] * 4
-    seen.clear()
+    assert caller["over"] == "raise" and observations.read() == [caller] * 4
+    observations.clear()
     convergence_experiment(w, [10], 2, epsilon=0.05, seed=3, workers=2)
+    seen = observations.read()
     assert seen == [np.geterr()] * 2 and seen[0]["over"] != "raise"
 
 
 def recording_pools(monkeypatch, cpus):
-    """The max_workers of every pool convergence_experiment starts, on cpus CPUs."""
-    pools = []
+    """The process count each convergence_experiment maps its cells on (1: the
+    calling process), and the max_workers of each process pool it starts, on
+    cpus CPUs."""
+    pools, forked = [], []
+    map_cells = limits._map_cells
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def recording_map(processes, run_cell, cells):
+        pools.append(processes)
+        return map_cells(processes, run_cell, cells)
 
-    monkeypatch.setattr(limits, "ThreadPoolExecutor", RecordingPool)
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            forked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(limits, "_map_cells", recording_map)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return pools
+    return pools, forked
 
 
-def test_convergence_pool_starts_no_more_threads_than_cells(monkeypatch):
-    pools = recording_pools(monkeypatch, 64)
+def test_convergence_pool_starts_no_more_processes_than_cells(monkeypatch):
+    pools, forked = recording_pools(monkeypatch, 64)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
-    reports = [convergence_report_to_json(convergence_experiment(
-        w, [10, 20], 2, epsilon=0.05, seed=3, workers=workers)) for workers in (1, 2, 64)]
+    reports = []
+    for workers in (1, 2, 64):
+        reports.append(convergence_report_to_json(convergence_experiment(
+            w, [10, 20], 2, epsilon=0.05, seed=3, workers=workers)))
+        assert multiprocessing.active_children() == []
     assert pools == [1, 2, 4]  # four cells
+    assert forked == [2, 4]  # one cell at a time runs in this process and forks nothing
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_convergence_pool_starts_no_more_threads_than_cpus(monkeypatch):
-    pools = recording_pools(monkeypatch, 2)
+def test_convergence_pool_starts_no_more_processes_than_cpus(monkeypatch):
+    pools, forked = recording_pools(monkeypatch, 2)
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
     report = convergence_experiment(w, [10, 20], 4, epsilon=0.05, seed=3, workers=10**5)
-    assert len(report.rows) == 8 and pools == [2]
+    assert len(report.rows) == 8 and pools == [2] and forked == [2]
+
+
+def test_convergence_report_bytes_do_not_depend_on_workers_or_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    fns = spectra._openblas_threads()
+    kernels = [  # the half-size bipartite route, then the whole adjacency
+        StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5]),
+        StepDigraphon(np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.6], [0.6, 0.0, 0.0]]),
+                      uniform_measures(3)),
+    ]
+    texts = {0: set(), 1: set()}
+    before = fns[0]() if fns else None
+    try:
+        for blas in (1, 2) if fns else (None,):
+            if fns:
+                fns[1](blas)
+            for workers in (1, 2, 64):
+                for i, w in enumerate(kernels):
+                    report = convergence_experiment(w, [100, 300], 2, epsilon=0.05, seed=11,
+                                                    workers=workers)
+                    texts[i].add(json.dumps(convergence_report_to_json(report), sort_keys=True))
+                    assert fns is None or fns[0]() == blas
+    finally:
+        if fns:
+            fns[1](before)
+    assert [len(t) for t in texts.values()] == [1, 1]
+
+
+def _fail_in_cells(monkeypatch, fail):
+    """Make every cell's eigensolve call fail() instead."""
+    monkeypatch.setattr(limits, "_bipartite_eigenvalues", lambda m, side: fail())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_worker_errors_reach_the_caller_and_leave_no_process(monkeypatch):
+    def fail():
+        raise NumericalError("eigenvalue sum deviates from the trace by 1.000e+00")
+
+    _fail_in_cells(monkeypatch, fail)
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    for workers in (1, 2):
+        with pytest.raises(NumericalError) as info:
+            convergence_experiment(w, [10, 20], 3, epsilon=0.05, seed=3, workers=workers)
+        assert type(info.value) is NumericalError
+        assert str(info.value) == "eigenvalue sum deviates from the trace by 1.000e+00"
+        assert multiprocessing.active_children() == []
+
+
+def test_worker_floating_point_errors_follow_the_callers_errstate(monkeypatch):
+    _fail_in_cells(monkeypatch, lambda: np.float64(1e308) * np.float64(10.0))
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    messages = set()
+    for workers in (1, 2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            convergence_experiment(w, [10, 20], 3, epsilon=0.05, seed=3, workers=workers)
+        assert type(info.value) is FloatingPointError
+        messages.add(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert len(messages) == 1 and "overflow" in messages.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +236,32 @@ def test_bipartite_eigenvalues_edge_cases():
         assert np.count_nonzero(vals == 0) == 3
         # dgeev splits a double eigenvalue of B C by about sqrt(u)
         assert hausdorff_distance(vals, eigenvalues(m)) <= 1e-6
+
+
+def test_bipartite_eigenvalues_keep_an_integer_adjacency_as_it_stands():
+    # the int8 sample is checked as it stands and only B and C become float64:
+    # the same bytes as from its float64 copy, with no n x n float64 array
+    w, block_side = BIPARTITE_KERNELS[0]
+    n = 400
+    for seed in range(3):
+        g, labels = _w_random_draw(w, n, seed)
+        side = np.asarray(block_side)[labels]
+        want = spectra._bipartite_eigenvalues(g.adj.astype(np.float64), side)
+        tracemalloc.start()
+        try:
+            got = spectra._bipartite_eigenvalues(g.adj, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adj.dtype == np.int8 and got.tobytes() == want.tobytes()
+        assert peak < 8 * n * n
+    cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.int8)
+    for m in (cycle, cycle.astype(bool), cycle.astype(np.uint64)):
+        with pytest.raises(ValueError, match="one side"):
+            spectra._bipartite_eigenvalues(m, [False, True, False])
+    pair = np.array([[0, -128], [127, 0]], dtype=np.int8)  # int8 extremes: B C = [[-128 * 127]]
+    assert spectra._bipartite_eigenvalues(pair, [True, False]).tolist() == [
+        -np.sqrt(128.0 * 127.0) * 1j, np.sqrt(128.0 * 127.0) * 1j]
 
 
 def test_bipartite_eigenvalues_rejects_a_wrong_side_mask():
