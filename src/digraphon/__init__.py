@@ -1,29 +1,24 @@
 """Directed graph limits at desk scale.
 
 Exact homomorphism and induced densities on digraphs and step kernels,
-cut norms and cut-distance upper bounds, complex spectra with algebraic
-multiplicities, W-random sampling, and reproducible spectral-convergence
-experiments.
+cut norms, complex spectra with algebraic multiplicities, W-random
+sampling, and reproducible spectral-convergence experiments.
 """
 
 from .digraph import (
     Digraph,
-    SampledDensity,
     UndirectedRegularGraph,
     automorphism_count,
     bidirected_double_cover,
-    complete_bidirected_digraph,
     cycle_digraph,
     digraph_edgelist_text,
     digraph_from_edgelist,
     digraph_from_json,
     digraph_json_text,
     digraph_to_edgelist,
-    digraph_to_json,
     empty_digraph,
     hom_count,
     hom_density,
-    hom_density_sampled,
     oneway_double_cover,
     random_regular_graph,
     sample_bidirected_random,
@@ -69,7 +64,6 @@ from .spectra import (
     multiplicity_match,
     normalized_spectrum,
     singular_moment_bound,
-    spectrum_from_csv,
     spectrum_to_csv,
     spectrum_to_json,
     step_spectrum,
@@ -83,7 +77,6 @@ from .stepkernel import (
     collapse,
     common_refinement,
     compose_step,
-    cut_distance_perm,
     cut_metric,
     cut_norm,
     cut_norm_witness,
@@ -97,7 +90,6 @@ from .stepkernel import (
     pair_from_json,
     pair_to_json,
     step_from_digraph,
-    step_pair_from_digraph,
     subgraph_density_step,
     uniform_measures,
 )

@@ -13,7 +13,7 @@ import os
 import re
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -139,14 +139,6 @@ class UndirectedRegularGraph:
         return self.adj.shape[0]
 
 
-class SampledDensity(NamedTuple):
-    """Monte-Carlo homomorphism-density estimate with its standard error."""
-
-    estimate: float
-    stderr: float
-    samples: int
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -170,14 +162,6 @@ def empty_digraph(n: int) -> Digraph:
     if n < 1:
         raise ValueError("vertex count must be positive")
     return Digraph(np.zeros((n, n), dtype=np.int8))
-
-
-def complete_bidirected_digraph(n: int) -> Digraph:
-    """Digraph with both directions present between every pair of vertices."""
-    if n < 1:
-        raise ValueError("vertex count must be positive")
-    adj = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
-    return Digraph(adj, allow_bidirected=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +226,10 @@ def hom_count(h: Digraph, g: Digraph) -> int:
     """Number of maps V(H) -> V(G) that carry every edge of H to an edge of G."""
     if h.n > 6:
         raise BudgetError(
-            "pattern has more than 6 vertices; use hom_density_sampled instead"
+            "pattern has more than 6 vertices; for a cycle C_ell use trace_power(g, ell)"
         )
     if g.n**h.n >= _INT64_SAFE:
-        raise BudgetError(
-            "|G|^|H| exceeds the exact integer range; use hom_density_sampled instead"
-        )
+        raise BudgetError("|G|^|H| exceeds the exact integer range of hom_count")
     dtype = _count_dtype(g.n, h.n)
     edges = h.edges()
     a = g.adj.astype(dtype) if edges else None  # no n^2 copy for an edgeless pattern
@@ -280,27 +262,6 @@ def _induced_count(h: Digraph, g: Digraph) -> int:
 def hom_density(h: Digraph, g: Digraph) -> float:
     """t(H, G): fraction of uniform maps V(H) -> V(G) that are homomorphisms."""
     return hom_count(h, g) / g.n**h.n
-
-
-def hom_density_sampled(h: Digraph, g: Digraph, samples: int, seed: int) -> SampledDensity:
-    """Unbiased Monte-Carlo estimate of hom_density with its standard error."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    edge_list = h.edges()
-    hits = 0
-    remaining = samples
-    chunk = 100_000
-    while remaining > 0:
-        c = min(remaining, chunk)
-        x = rng.integers(0, g.n, size=(c, h.n))
-        ok = np.ones(c, dtype=bool)
-        for u, v in edge_list:
-            ok &= g.adj[x[:, u], x[:, v]] == 1
-        hits += int(ok.sum())
-        remaining -= c
-    p = hits / samples
-    return SampledDensity(p, math.sqrt(p * (1.0 - p) / samples), samples)
 
 
 def automorphism_count(h: Digraph) -> int:
@@ -487,15 +448,6 @@ def oneway_double_cover(a: UndirectedRegularGraph) -> Digraph:
 # serialization
 
 
-def digraph_to_json(g: Digraph) -> dict:
-    """JSON-ready dict: {"n", "allow_bidirected", "edges"} with 0-based indices."""
-    return {
-        "n": g.n,
-        "allow_bidirected": g.allow_bidirected,
-        "edges": np.argwhere(g.adj).tolist(),
-    }
-
-
 # One [i, j] of a top-level "edges" list under json.dumps(indent=2).
 _EDGE_JSON = "\n    [\n      %d,\n      %d\n    ]"
 # Adjacency cells per row block of the streaming writers.
@@ -524,8 +476,11 @@ def _edge_text(g: Digraph, template: str, sep: str) -> Iterator[str]:
 
 
 def digraph_json_text(g: Digraph, extra: dict) -> Iterator[str]:
-    """json.dumps({**extra, **digraph_to_json(g)}, sort_keys=True, indent=2) + "\\n" in pieces.
+    """The JSON text of g with the keys of extra, in pieces, ending in a newline.
 
+    The object holds extra's keys and "n", "allow_bidirected" and "edges",
+    the 0-based [i, j] pairs in row-major order, as json.dumps(obj,
+    sort_keys=True, indent=2) writes it; digraph_from_json reads it back.
     Under indent=2 every edge is the same text around two integers, so the
     "edges" list is formatted from np.nonzero a row block at a time and the
     rest comes from json.dumps of the same object with no edges.

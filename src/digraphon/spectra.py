@@ -68,12 +68,6 @@ class Spectrum:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
 
-    def multiplicity_at(self, lam: complex, tol: float = 1e-9) -> int:
-        for v, m in self.points:
-            if abs(v - lam) <= tol:
-                return m
-        return 0
-
 
 @dataclass(frozen=True)
 class MultiplicityLedger:
@@ -221,7 +215,8 @@ def one_blas_thread():
     different order than a single-threaded one, so pinning makes eigenvalue
     bytes independent of the BLAS thread count, and it leaves the CPUs to the
     experiment's own worker processes. Does nothing when numpy's bundled
-    OpenBLAS is not found.
+    OpenBLAS is not found. Pins entered from several caller threads may
+    overlap, and the last one to exit restores the count.
     """
     global _pins, _unpinned_threads
     fns = _openblas_threads()
@@ -422,28 +417,3 @@ def spectrum_to_csv(spec: Spectrum) -> str:
     if spec.includes_zero_spectral_point and not any(v == 0 for v, _ in spec.points):
         rows.append((0, 0, 0))
     return _csv_text(("re", "im", "mult"), rows)
-
-
-def spectrum_from_csv(text: str) -> Spectrum:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "re,im,mult":
-        raise ValueError("spectrum CSV must start with the header 're,im,mult'")
-    points = []
-    zero_flag = False
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed spectrum row: {ln!r}")
-        re, im, mult = float(parts[0]), float(parts[1]), int(parts[2])
-        value = complex(re, im)
-        if not np.isfinite(value):
-            raise ValueError(f"spectrum row is not finite: {ln!r}")
-        if mult == 0:
-            if value != 0:
-                raise ValueError(f"a mult=0 row flags the zero point and must be 0,0,0: {ln!r}")
-            zero_flag = True
-        else:
-            points.append((value, mult))
-            if value == 0:
-                zero_flag = True
-    return Spectrum(tuple(points), includes_zero_spectral_point=zero_flag)

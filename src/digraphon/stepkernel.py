@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +23,6 @@ _CUT_NORM_MAX_BLOCKS = 24
 # The cut scan pairs a table over the subsets of this many low rows with one
 # entry of the table over the remaining rows at a time.
 _CUT_LOW_ROWS = 10
-_PERM_SEARCH_MAX_BLOCKS = 9
 _REFINEMENT_MAX_BLOCKS = 10_000
 
 
@@ -140,16 +138,9 @@ def step_from_digraph(g: Digraph) -> StepDigraphon:
     """Step digraphon of a digraph: |G| equal blocks, values = adjacency."""
     if g.allow_bidirected:
         raise TypeError(
-            "digraph permits antiparallel pairs; use step_pair_from_digraph instead"
+            "digraph permits antiparallel pairs, which a step digraphon cannot hold"
         )
     return StepDigraphon(g.adj.astype(np.float64), uniform_measures(g.n))
-
-
-def step_pair_from_digraph(g: Digraph) -> BidirectedStepPair:
-    """Bidirected step pair of a digraph: W1 marks antiparallel pairs, W2 single edges."""
-    a = g.adj.astype(np.float64)
-    both = a * a.T
-    return BidirectedStepPair(both, a - both, uniform_measures(g.n))
 
 
 def bidirected_crossing_pair() -> BidirectedStepPair:
@@ -232,17 +223,17 @@ def hom_density_pair(h: Digraph, p: BidirectedStepPair) -> float:
 
 
 def _subset_sums(r: np.ndarray) -> np.ndarray:
-    """Column sums and total of every subset of the m rows of r (..., m, k).
+    """Column sums and total of every subset of the m rows of r (m, k).
 
-    Returns (..., k + 1, 2^m): entry [j, s] sums column j over the rows i
-    with bit i of s set, and row k holds the totals of those rows. The
-    table is built by doubling: the table over rows 0..b-1 is followed by
-    the same table plus row b.
+    Returns (k + 1, 2^m): entry [j, s] sums column j over the rows i with
+    bit i of s set, and row k holds the totals of those rows. The table is
+    built by doubling: the table over rows 0..b-1 is followed by the same
+    table plus row b.
     """
-    out = np.concatenate((r, r.sum(axis=-1, keepdims=True)), axis=-1)
-    table = np.zeros(out.shape[:-2] + (out.shape[-1], 1))
-    for b in range(out.shape[-2]):
-        table = np.concatenate((table, table + out[..., b, :, None]), axis=-1)
+    out = np.concatenate((r, r.sum(axis=1, keepdims=True)), axis=1)
+    table = np.zeros((out.shape[1], 1))
+    for b in range(out.shape[0]):
+        table = np.concatenate((table, table + out[b, :, None]), axis=1)
     return table
 
 
@@ -341,49 +332,6 @@ def common_refinement(w1: StepKernel, w2: StepKernel) -> tuple[StepKernel, StepK
         return cls(vals, lengths, bound=w.bound)
 
     return rebuild(w1, idx1), rebuild(w2, idx2)
-
-
-def cut_distance_perm(w1: StepKernel, w2: StepKernel) -> float:
-    """Upper bound on the cut distance: min over block permutations.
-
-    Both kernels are refined to a common structure, which must consist of
-    equal-measure blocks; the reported value is min over permutations pi of
-    the cut metric between W1 and W2 relabeled by pi. The true infimum over
-    all measure-preserving maps is at most this value.
-    """
-    r1, r2 = common_refinement(w1, w2)
-    k = r1.k
-    if not np.allclose(r1.measures, 1.0 / k, rtol=0.0, atol=1e-9):
-        raise StructureError(
-            "permutation search requires equal-measure blocks after refinement"
-        )
-    if k > _PERM_SEARCH_MAX_BLOCKS:
-        raise BudgetError(
-            f"permutation search enumerates k! relabelings; k={k} exceeds {_PERM_SEARCH_MAX_BLOCKS}"
-        )
-    weight = 1.0 / (k * k)
-    best = math.inf
-    chunk = 512
-    batch: list[tuple[int, ...]] = []
-
-    def flush(batch_perms: list[tuple[int, ...]]) -> float:
-        p = np.asarray(batch_perms, dtype=np.intp)
-        relabeled = r2.values[p[:, :, None], p[:, None, :]]
-        diff = (r1.values[None, :, :] - relabeled) * weight
-        sums = _subset_sums(diff)
-        np.abs(sums, out=sums)
-        return 0.5 * float(sums.sum(axis=1).max(axis=1).min())
-
-    for perm in permutations(range(k)):
-        batch.append(perm)
-        if len(batch) == chunk:
-            best = min(best, flush(batch))
-            batch = []
-            if best == 0.0:
-                return 0.0
-    if batch:
-        best = min(best, flush(batch))
-    return best
 
 
 # ---------------------------------------------------------------------------

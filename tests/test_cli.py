@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import multiprocessing
@@ -570,6 +571,17 @@ def test_readme_synopsis_lists_every_flag_of_every_command():
     flags = {name: {o for a in p._actions for o in a.option_strings} - ignored
              for name, p in sub.choices.items()}
     assert {name: f - ignored for name, f in synopsis.items()} == flags
+
+
+def test_readme_names_only_functions_the_package_has():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    # backticked snake_case names, alone or called: `hom_count`, `collapse(P)`
+    names = set(re.findall(r"`(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\([^`]*\))?`", readme))
+    not_code = {"ell_max", "seeds_per_size", "ru_maxrss", "wall_s"}  # JSON keys and metrics
+    modules = [digraphon, *(importlib.import_module(f"digraphon.{p.stem}")
+                            for p in Path(digraphon.__file__).parent.glob("[!_]*.py"))]
+    assert len(names) > 10
+    assert sorted(n for n in names - not_code if not any(hasattr(m, n) for m in modules)) == []
 
 
 def test_config_records_tol_and_nu_gaps_only_when_set(digraphon_file, crossing_kernel_file, tmp_path):

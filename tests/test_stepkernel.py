@@ -16,12 +16,12 @@ from digraphon import (
     collapse,
     common_refinement,
     compose_step,
-    cut_distance_perm,
     cut_metric,
     cut_norm,
     cut_norm_witness,
     cycle_digraph,
     empty_digraph,
+    hausdorff_distance,
     hom_density_pair,
     hom_density_step,
     kernel_from_json,
@@ -32,7 +32,7 @@ from digraphon import (
     pair_from_json,
     pair_to_json,
     step_from_digraph,
-    step_pair_from_digraph,
+    step_spectrum,
     subgraph_density_step,
     uniform_measures,
 )
@@ -65,25 +65,19 @@ def brute_cut_norm(w):
     return best
 
 
-def random_kernel(rng, k, scale=1.0, equal_measures=False):
+def random_kernel(rng, k, scale=1.0):
     vals = rng.uniform(-scale, scale, (k, k))
-    if equal_measures:
-        m = uniform_measures(k)
-    else:
-        m = rng.random(k) + 0.1
-        m = m / m.sum()
+    m = rng.random(k) + 0.1
+    m = m / m.sum()
     return StepKernel(vals, m, bound=scale)
 
 
-def random_digraphon(rng, k, equal_measures=False):
+def random_digraphon(rng, k):
     x = rng.random((k, k))
     np.fill_diagonal(x, rng.random(k) * 0.5)
     scale = np.maximum(x + x.T, 1.0)
-    if equal_measures:
-        m = uniform_measures(k)
-    else:
-        m = rng.random(k) + 0.1
-        m = m / m.sum()
+    m = rng.random(k) + 0.1
+    m = m / m.sum()
     return StepDigraphon(x / scale, m)
 
 
@@ -145,28 +139,8 @@ def test_step_from_digraph_empty():
 
 
 def test_step_from_digraph_rejects_bidirected():
-    with pytest.raises(TypeError, match="step_pair_from_digraph"):
+    with pytest.raises(TypeError, match="antiparallel pairs, which a step digraphon cannot hold"):
         step_from_digraph(cycle_digraph(2))
-
-
-def test_step_pair_from_digraph_cases():
-    p = step_pair_from_digraph(cycle_digraph(2))
-    assert np.array_equal(p.w1, [[0, 1], [1, 0]])
-    assert np.all(p.w2 == 0)
-    q = step_pair_from_digraph(Digraph(np.array([[0, 1], [0, 0]])))
-    assert np.all(q.w1 == 0)
-    assert np.array_equal(q.w2, [[0, 1], [0, 0]])
-
-
-def test_step_pair_invariant_from_random_digraphs():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        pair = bidirected_crossing_pair()
-        from digraphon import sample_bidirected_random
-
-        g = sample_bidirected_random(pair, 15, int(rng.integers(2**32)))
-        p = step_pair_from_digraph(g)
-        assert np.all(p.w1 + p.w2 + p.w2.T <= 1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -547,47 +521,43 @@ def test_common_refinement_budget(monkeypatch):
         common_refinement(random_kernel(rng, 4), random_kernel(rng, 4))
 
 
-def test_cut_distance_perm_detects_relabeling():
-    rng = np.random.default_rng(14)
-    w = random_digraphon(rng, 4, equal_measures=True)
-    perm = [2, 0, 3, 1]
-    relabeled = StepDigraphon(w.values[np.ix_(perm, perm)], w.measures)
-    assert cut_distance_perm(w, relabeled) == pytest.approx(0.0, abs=1e-14)
-    assert cut_distance_perm(w, w) == 0.0
+def relabelled_and_split(rng, w):
+    """w with its blocks in a random order, and w with one block split in two random parts."""
+    p = rng.permutation(w.k)
+    yield StepKernel(w.values[np.ix_(p, p)], w.measures[p], bound=w.bound)
+    b, t = int(rng.integers(w.k)), rng.uniform(0.1, 0.9)
+    idx = np.insert(np.arange(w.k), b, b)
+    measures = w.measures[idx]
+    measures[b:b + 2] *= (t, 1 - t)
+    yield StepKernel(w.values[np.ix_(idx, idx)], measures, bound=w.bound)
 
 
-def test_cut_distance_perm_is_min_over_relabelings():
-    rng = np.random.default_rng(15)
-    for k in (1, 2, 4):
-        a = random_kernel(rng, k, equal_measures=True)
-        b = random_kernel(rng, k, equal_measures=True)
-        brute = min(
-            cut_metric(a, StepKernel(b.values[np.ix_(p, p)], b.measures, bound=b.bound))
-            for p in itertools.permutations(range(k))
-        )
-        assert cut_distance_perm(a, b) == pytest.approx(brute, rel=1e-15, abs=1e-17)
+def test_relabelling_and_splitting_blocks_keep_kernel_invariants():
+    # These depend on W only as a function on [0,1]^2 (the cut norm is attained
+    # at block unions), so they may move by rounding alone. Every third kernel
+    # repeats one block pattern twice, so its eigenvalues come in pairs.
+    rng = np.random.default_rng(16)
+    cycles = [cycle_digraph(ell) for ell in (3, 4, 5)]
 
+    def scalars(v):
+        return [cut_norm(v), op_norm_2to2(v), *(hom_density_step(c, v) for c in cycles)]
 
-def test_cut_distance_perm_upper_bounds_identity_metric():
-    rng = np.random.default_rng(15)
-    a = random_digraphon(rng, 4, equal_measures=True)
-    b = random_digraphon(rng, 4, equal_measures=True)
-    d = cut_distance_perm(a, b)
-    assert 0.0 <= d <= cut_metric(a, b) + 1e-14
-
-
-def test_cut_distance_perm_unequal_measures_rejected():
-    a = StepDigraphon([[0.0, 0.5], [0.5, 0.0]], [0.3, 0.7])
-    b = StepDigraphon([[0.0, 0.5], [0.5, 0.0]], [0.3, 0.7])
-    with pytest.raises(StructureError):
-        cut_distance_perm(a, b)
-
-
-def test_cut_distance_perm_block_budget():
-    k = 10
-    w = StepDigraphon(np.zeros((k, k)), uniform_measures(k))
-    with pytest.raises(BudgetError):
-        cut_distance_perm(w, w)
+    for case in range(50):
+        if case % 3 == 0:
+            half = int(rng.integers(1, 4))
+            w = StepKernel(np.kron(np.eye(2), rng.uniform(-1, 1, (half, half))),
+                           np.tile(rng.dirichlet(np.ones(half)), 2) / 2, bound=1.0)
+        else:
+            k = int(rng.integers(1, 7))
+            w = StepKernel(rng.uniform(-1, 1, (k, k)), rng.dirichlet(np.ones(k)), bound=1.0)
+        expected, spec = scalars(w), step_spectrum(w)
+        for v in relabelled_and_split(rng, w):
+            assert scalars(v) == pytest.approx(expected, abs=1e-14)
+            moved = step_spectrum(v)
+            assert len(moved.points) == len(spec.points) > 0
+            assert hausdorff_distance(moved.point_set(), spec.point_set()) <= 1e-12
+            for lam, m in spec.points:
+                assert min(moved.points, key=lambda q: abs(q[0] - lam))[1] == m
 
 
 # ---------------------------------------------------------------------------
