@@ -573,15 +573,29 @@ def test_readme_synopsis_lists_every_flag_of_every_command():
     assert {name: f - ignored for name, f in synopsis.items()} == flags
 
 
-def test_readme_names_only_functions_the_package_has():
+README_NOT_CODE = {"ell_max", "seeds_per_size", "ru_maxrss", "wall_s"}  # JSON keys and metrics
+
+
+def readme_code_names():
+    """(backticked snake_case names in README.md, the package and its modules)."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     # backticked snake_case names, alone or called: `hom_count`, `collapse(P)`
     names = set(re.findall(r"`(_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\([^`]*\))?`", readme))
-    not_code = {"ell_max", "seeds_per_size", "ru_maxrss", "wall_s"}  # JSON keys and metrics
     modules = [digraphon, *(importlib.import_module(f"digraphon.{p.stem}")
                             for p in Path(digraphon.__file__).parent.glob("[!_]*.py"))]
+    return names, modules
+
+
+def test_readme_names_only_functions_the_package_has():
+    names, modules = readme_code_names()
     assert len(names) > 10
-    assert sorted(n for n in names - not_code if not any(hasattr(m, n) for m in modules)) == []
+    assert sorted(n for n in names - README_NOT_CODE if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_readme_exceptions_are_words_the_readme_uses_and_the_package_lacks():
+    names, modules = readme_code_names()
+    assert README_NOT_CODE <= names
+    assert sorted(n for n in README_NOT_CODE if any(hasattr(m, n) for m in modules)) == []
 
 
 def test_config_records_tol_and_nu_gaps_only_when_set(digraphon_file, crossing_kernel_file, tmp_path):

@@ -191,6 +191,20 @@ def test_hom_count_budget_errors():
         hom_count(h7, cycle_digraph(3))
 
 
+def test_hom_count_refuses_a_count_past_the_exact_integer_range():
+    # 1300**6 maps exceed 2**62 though the pattern is within budget; 1200**6 do not.
+    assert 1200**6 < 2**62 <= 1300**6
+    with pytest.raises(BudgetError, match="exact integer range"):
+        hom_count(empty_digraph(6), empty_digraph(1300))
+    assert hom_count(empty_digraph(6), empty_digraph(1200)) == 1200**6
+
+
+def test_hom_density_of_an_edgeless_pattern_is_one():
+    for h_n, g in ((1, cycle_digraph(4)), (3, cycle_digraph(4)), (4, complete_bidirected_digraph(5))):
+        assert hom_count(empty_digraph(h_n), g) == g.n**h_n
+        assert hom_density(empty_digraph(h_n), g) == 1.0
+
+
 def test_trace_identity_on_random_digraphs():
     rng = np.random.default_rng(2)
     for _ in range(10):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,11 @@ from digraphon import (
     Spectrum,
     bidirected_crossing_pair,
     bidirected_double_cover,
+    check_isolation,
     cluster_multiplicities,
     collapse,
     cycle_digraph,
+    default_cluster_tol,
     digraph_spectrum,
     eigenvalues,
     empty_digraph,
@@ -25,6 +28,7 @@ from digraphon import (
     sample_w_random,
     singular_moment_bound,
     spectrum_to_csv,
+    spectrum_to_json,
     step_from_digraph,
     step_spectrum,
 )
@@ -623,6 +627,22 @@ def test_multiplicity_match_zero_point_violates_isolation():
         multiplicity_match(limit, limit, 0.25, epsilon=0.2)
 
 
+def test_check_isolation_admits_a_point_exactly_two_epsilon_away():
+    limit = Spectrum(((0.5 + 0j, 1), (0.75 + 0j, 1)), includes_zero_spectral_point=True)
+    assert check_isolation(limit, 0.5, 0.125) is None
+    with pytest.raises(IsolationError, match="0.75"):
+        check_isolation(limit, 0.5, 0.125 + 1e-12)
+    with pytest.raises(IsolationError, match="zero spectral point"):
+        check_isolation(Spectrum(((0.5 + 0j, 1),), includes_zero_spectral_point=True), 0.5, 0.3)
+
+
+def test_default_cluster_tol_has_a_floor_and_grows_with_size_and_scale():
+    assert default_cluster_tol(1, 1.0) == 1e-7
+    assert default_cluster_tol(10, 1.0) == 1e-7
+    assert default_cluster_tol(1000, 1.0) == pytest.approx(1e-5, rel=1e-15)
+    assert default_cluster_tol(1000, 100.0) == pytest.approx(1e-3, rel=1e-15)
+
+
 def test_multiplicity_match_epsilon_must_be_small():
     limit = Spectrum(((0.25 + 0j, 1),))
     with pytest.raises(ValueError):
@@ -676,6 +696,27 @@ def test_spectrum_csv_round_trips_17_digit_floats_without_zero_flag():
                  Spectrum(((0.1 + 1j / 3, 1), (np.nextafter(1.0, 2.0) - 2e-300j, 3))),
                  Spectrum(((0j, 2), (-0.7 + 0.2j, 1)), includes_zero_spectral_point=True)):
         assert read_spectrum_csv(spectrum_to_csv(spec)) == (spec.points, False)
+
+
+def test_spectrum_point_set_adds_an_unlisted_zero_once_and_multiplicities_are_positive():
+    flagged = Spectrum(((1 + 1j, 1), (1 - 1j, 1)), includes_zero_spectral_point=True)
+    assert list(flagged.point_set()) == [1 + 1j, 1 - 1j, 0j]
+    assert list(flagged.point_set(include_zero=False)) == [1 + 1j, 1 - 1j]
+    listed = Spectrum(((0j, 2), (0.5 + 0j, 1)), includes_zero_spectral_point=True)
+    assert list(listed.point_set()) == [0j, 0.5 + 0j]
+    assert list(Spectrum(((0.5, 1),)).point_set(include_zero=True)) == [0.5 + 0j, 0j]
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            Spectrum(((0.5 + 0j, m),))
+
+
+def test_spectrum_json_lists_the_points_and_the_zero_flag():
+    spec = step_spectrum(collapse(bidirected_crossing_pair()))
+    obj = json.loads(json.dumps(spectrum_to_json(spec)))
+    assert obj["includes_zero_spectral_point"] is True
+    assert [(complex(p["re"], p["im"]), p["mult"]) for p in obj["points"]] == list(spec.points)
+    assert read_spectrum_csv(spectrum_to_csv(spec))[0] == spec.points
+    assert spectrum_to_json(Spectrum(())) == {"points": [], "includes_zero_spectral_point": False}
 
 
 def test_overlapping_blas_pins_restore_once_the_last_exits():

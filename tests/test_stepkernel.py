@@ -22,6 +22,7 @@ from digraphon import (
     cycle_digraph,
     empty_digraph,
     hausdorff_distance,
+    hom_density,
     hom_density_pair,
     hom_density_step,
     kernel_from_json,
@@ -31,6 +32,7 @@ from digraphon import (
     op_norm_2to2,
     pair_from_json,
     pair_to_json,
+    sample_w_random,
     step_from_digraph,
     step_spectrum,
     subgraph_density_step,
@@ -141,6 +143,24 @@ def test_step_from_digraph_empty():
 def test_step_from_digraph_rejects_bidirected():
     with pytest.raises(TypeError, match="antiparallel pairs, which a step digraphon cannot hold"):
         step_from_digraph(cycle_digraph(2))
+
+
+def test_step_from_digraph_of_a_oneway_edge():
+    w = step_from_digraph(Digraph(np.array([[0, 1], [0, 0]])))
+    assert np.array_equal(w.values, [[0, 1], [0, 0]])
+    assert np.array_equal(w.measures, [0.5, 0.5])
+
+
+def test_step_from_digraph_of_w_random_samples_keeps_densities():
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        g = sample_w_random(random_digraphon(rng, 3), 15, int(rng.integers(2**32)))
+        w = step_from_digraph(g)
+        assert np.isin(w.values, (0.0, 1.0)).all()
+        assert (w.values + w.values.T <= 1).all()
+        for ell in (3, 4):
+            c = cycle_digraph(ell)
+            assert hom_density_step(c, w) == pytest.approx(hom_density(c, g), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +494,25 @@ def test_cut_metric_basics():
     assert cut_metric(a, b) == pytest.approx(cut_metric(b, a), abs=0)
 
 
+def test_cut_metric_triangle_inequality():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        a = random_kernel(rng, int(rng.integers(1, 6)))
+        b, c = (StepKernel(rng.uniform(-1, 1, (a.k, a.k)), a.measures, bound=1.0) for _ in range(2))
+        assert cut_metric(a, c) <= cut_metric(a, b) + cut_metric(b, c) + 1e-14
+
+
+def test_cut_metric_lies_between_the_whole_square_mass_and_the_l1_distance():
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        a = random_kernel(rng, int(rng.integers(1, 6)))
+        b = StepKernel(rng.uniform(-1, 1, (a.k, a.k)), a.measures, bound=1.0)
+        d = a.values - b.values
+        whole = abs(float(a.measures @ d @ a.measures))
+        l1 = float(a.measures @ np.abs(d) @ a.measures)
+        assert whole - 1e-14 <= cut_metric(a, b) <= l1 + 1e-14
+
+
 def test_cut_metric_structure_error():
     a = StepKernel([[0.5]], [1.0])
     b = StepKernel(np.zeros((2, 2)), [0.5, 0.5])
@@ -482,7 +521,7 @@ def test_cut_metric_structure_error():
 
 
 # ---------------------------------------------------------------------------
-# refinement and permutation distance
+# refinement and relabelling
 
 
 def test_common_refinement_identical_structures():
@@ -530,6 +569,17 @@ def relabelled_and_split(rng, w):
     measures = w.measures[idx]
     measures[b:b + 2] *= (t, 1 - t)
     yield StepKernel(w.values[np.ix_(idx, idx)], measures, bound=w.bound)
+
+
+def test_a_split_kernel_is_at_cut_distance_zero_after_common_refinement():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        w = random_kernel(rng, int(rng.integers(1, 6)))
+        _, split = relabelled_and_split(rng, w)
+        a, b = common_refinement(w, split)
+        assert a.k == b.k == w.k + 1
+        assert cut_metric(a, b) == 0.0
+        assert cut_norm(a) == pytest.approx(cut_norm(w), abs=1e-14)
 
 
 def test_relabelling_and_splitting_blocks_keep_kernel_invariants():
