@@ -41,6 +41,7 @@ from .limits import (
     DoubleCoverRow,
     TraceCheckReport,
     convergence_experiment,
+    convergence_report_json_text,
     convergence_report_to_csv,
     convergence_report_to_json,
     cycle_density_via_spectrum,

@@ -27,8 +27,8 @@ from .digraph import digraph_edgelist_text, digraph_json_text, sample_bidirected
 from .errors import BudgetError, GenerationError, IsolationError, NumericalError, StructureError
 from .limits import (
     convergence_experiment,
+    convergence_report_json_text,
     convergence_report_to_csv,
-    convergence_report_to_json,
     double_cover_example,
     double_cover_report_to_csv,
     double_cover_report_to_json,
@@ -79,15 +79,20 @@ def _write_atomic(path: Path, *parts: _Text) -> None:
 
 
 def _json(fields: Callable[[Any], dict]) -> Callable[[Any, dict], str]:
-    """to_json from a function giving the result's fields as a dict.
+    """to_json from a function giving the result's fields as a dict."""
+    return _finite(lambda result, extra: json.dumps(
+        {**extra, **fields(result)}, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
-    A NaN or infinity in the result raises NumericalError instead of writing
-    a file that is not JSON.
+
+def _finite(text: Callable[[Any, dict], str]) -> Callable[[Any, dict], str]:
+    """to_json from text(result, extra), the JSON text of both.
+
+    The ValueError json raises for a NaN or an infinity in the result becomes
+    NumericalError, instead of a file that is not JSON.
     """
     def to_json(result, extra: dict) -> str:
         try:
-            return json.dumps({**extra, **fields(result)}, sort_keys=True, indent=2,
-                              allow_nan=False) + "\n"
+            return text(result, extra)
         except ValueError as exc:
             raise NumericalError(f"result is not finite: {exc}") from None
     return to_json
@@ -141,9 +146,9 @@ def _commands() -> dict[str, _Command]:
             lambda a: convergence_experiment(
                 _kernel(a), a.sizes, a.seeds_per_size, a.epsilon, a.seed,
                 nu_gaps=a.nu_gaps, workers=a.workers),
-            _json(convergence_report_to_json), convergence_report_to_csv, "converge", True),
+            _finite(convergence_report_json_text), convergence_report_to_csv, "converge", True),
         "step-converge": _Command(
-            _step_converge, _json(convergence_report_to_json), convergence_report_to_csv,
+            _step_converge, _finite(convergence_report_json_text), convergence_report_to_csv,
             "step_converge", False),
         "double-cover": _Command(
             lambda a: double_cover_example(a.degrees, a.seed, spectral_tol=a.tol),

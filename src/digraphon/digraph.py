@@ -6,6 +6,7 @@ integers, all sampling is reproducible from an explicit seed (numpy PCG64).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -39,8 +40,12 @@ _PAIRING_ROUNDS = 1000
 
 # Peak traced bytes per n^2 of one W-random draw, and of loading a digraph:
 # the int8 adjacency and the two bool temporaries of Digraph's 0/1 entry
-# check (3.0 measured at n=4000).
+# check (3.0 measured at n=4000). Sampling adds the temporaries of one row
+# block, traced at 19.3 bytes per cell of a block at n=1000 and 20.2 at
+# n=4000 beside the adjacency; so a draw peaks at 6.1 bytes per n^2 at
+# n=1000 (its blocks of 262 rows) and 3.0 at n=4000.
 _SAMPLE_BYTES_PER_N2 = 3
+_SAMPLE_BYTES_PER_CELL = 21
 # random_regular_graph peaks at 32 bytes per stub (n2 * degree) in a pairing
 # round plus 3 per n2^2 (adjacency, validation): traced and resident peaks are
 # 16.7 per n2^2 at degree n2 / 2 (n2 = 2000, 4000), 9.0 at n2 / 4, 3.0 at 10.
@@ -48,6 +53,8 @@ _PAIRING_BYTES_PER_STUB = 32
 _REGULAR_BYTES_PER_N2 = 3
 # Rows per strip of the antiparallel-pair check.
 _STRIP_ROWS = 256
+# Adjacency cells per row block of the sampler and the streaming writers.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +189,21 @@ def _block_sum(factors, measures: np.ndarray, n: int):
     """Sum over maps x of n points of prod_u measures[x_u] * prod m[x_u, x_v] over factors (m, u, v)."""
     letters = string.ascii_letters
     subs = [letters[u] + letters[v] for _, u, v in factors] + list(letters[:n])
+    spec = ",".join(subs) + "->"
     operands = [m for m, _, _ in factors] + [measures] * n
-    return np.einsum(",".join(subs) + "->", *operands, optimize=("greedy", _EINSUM_MEM))
+    return np.einsum(spec, *operands,
+                     optimize=_contraction_path(spec, tuple(op.shape for op in operands)))
+
+
+@functools.lru_cache(maxsize=256)
+def _contraction_path(spec: str, shapes: tuple) -> list:
+    """np.einsum's greedy contraction path for spec on operands of these shapes.
+
+    Planning reads only the shapes, so it runs on zero-stride views, and the
+    path is cached: at k = 4 planning took most of a cycle count's time.
+    """
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(spec, *operands, optimize=("greedy", _EINSUM_MEM))[0]
 
 
 def _pair_factors(h: Digraph, both, single, neither) -> list:
@@ -337,27 +357,40 @@ def _require_memory(need: int, what: str) -> None:
 
 
 def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """int8 adjacency of one draw, filled one row of the upper triangle at a time,
-    and the block label of each vertex.
+    """int8 adjacency of one draw, filled a block of upper-triangle rows at a
+    time, and the block label of each vertex.
 
-    Labels come from choice(k, n, p=measures); then row i draws
-    random(n - 1 - i), one uniform u per pair (i, j > i) in row-major order:
-    both edges when u < W1, i -> j when u < W1 + W2(x_i, x_j), j -> i when
-    u < W1 + W2(x_i, x_j) + W2(x_j, x_i), W1 read at (x_i, x_j).
+    Labels come from choice(k, n, p=measures); then one uniform u per pair
+    (i, j > i) in row-major order: both edges when u < W1, i -> j when
+    u < W1 + W2(x_i, x_j), j -> i when u < W1 + W2(x_i, x_j) + W2(x_j, x_i),
+    W1 read at (x_i, x_j). Rows [lo, lo + b) draw their uniforms in one
+    random() call (the same stream as a call per row) into the upper
+    triangle of a strip of columns lo.., inf elsewhere, which sets no edge;
+    the thresholds are summed once per distinct label of the block. The
+    forward strip adj[lo:lo + b, lo:] and the backward strip adj[lo:, lo:lo + b]
+    overlap in the block's square, so both are or-ed in.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"sampling n={n}")
+    rows = max(1, _BLOCK_CELLS // n)
+    _require_memory(_SAMPLE_BYTES_PER_N2 * n * n + _SAMPLE_BYTES_PER_CELL * min(rows, n) * n,
+                    f"sampling n={n}")
     rng = np.random.default_rng(seed)
     labels = rng.choice(len(measures), size=n, p=measures)
     adj = np.zeros((n, n), dtype=np.int8)
-    for i in range(n - 1):
-        x, rest = labels[i], labels[i + 1:]
-        u = rng.random(n - 1 - i)
-        both = w1[x][rest]
-        t1 = both + w2[x][rest]
-        adj[i, i + 1:] = u < t1
-        adj[i + 1:, i] = (u < both) | ((u >= t1) & (u < t1 + w2[:, x][rest]))
+    for lo in range(0, n - 1, rows):
+        b, m = min(rows, n - 1 - lo), n - lo
+        keys, at = np.unique(labels[lo:lo + b], return_inverse=True)
+        cols = labels[lo:]
+        both = w1[keys][:, cols]
+        t1 = both + w2[keys][:, cols]
+        t2 = t1 + w2.T[keys][:, cols]
+        u = np.full((b, m), np.inf)
+        u[np.less.outer(np.arange(b), np.arange(m))] = rng.random(b * (m - 1) - b * (b - 1) // 2)
+        adj[lo:lo + b, lo:] |= u < t1[at]
+        backward = u < both[at]
+        backward |= (u >= t1[at]) & (u < t2[at])
+        adj[lo:, lo:lo + b] |= backward.T
     return adj, labels
 
 
@@ -450,8 +483,6 @@ def oneway_double_cover(a: UndirectedRegularGraph) -> Digraph:
 
 # One [i, j] of a top-level "edges" list under json.dumps(indent=2).
 _EDGE_JSON = "\n    [\n      %d,\n      %d\n    ]"
-# Adjacency cells per row block of the streaming writers.
-_WRITE_CELLS = 1 << 18
 
 
 def _edge_text(g: Digraph, template: str, sep: str) -> Iterator[str]:
@@ -465,7 +496,7 @@ def _edge_text(g: Digraph, template: str, sep: str) -> Iterator[str]:
     pre, mid, post = template.split("%d")
     heads = [f"{sep}{pre}{v}{mid}" for v in range(g.n)]
     tails = np.array([f"{v}{post}" for v in range(g.n)], dtype=object)
-    step = max(1, _WRITE_CELLS // g.n)
+    step = max(1, _BLOCK_CELLS // g.n)
     lead = len(sep)
     for lo in range(0, g.n, step):
         rows = ((heads[i], np.flatnonzero(row)) for i, row in enumerate(g.adj[lo:lo + step], lo))
@@ -487,16 +518,32 @@ def digraph_json_text(g: Digraph, extra: dict) -> Iterator[str]:
     """
     obj = {**extra, "n": g.n, "allow_bidirected": g.allow_bidirected, "edges": []}
     shell = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    edges = _edge_text(g, _EDGE_JSON, ",")
-    first = next(edges, None)
-    if first is None:
-        yield shell
-        return
-    # Strings in `extra` escape their quotes, so only the key itself matches.
-    head, _, tail = shell.rpartition('"edges": []')
-    yield head + '"edges": [' + first
-    yield from edges
-    yield "\n  ]" + tail
+    yield from _fill_json_lists(shell, "edges", [_edge_text(g, _EDGE_JSON, ",")])
+
+
+def _fill_json_lists(shell: str, key: str, fills: list) -> Iterator[str]:
+    """shell, a json.dumps(..., indent=2) text, in pieces, with its last
+    len(fills) lists '"key": []' filled in order.
+
+    fills[i] yields the text of the i-th list's items, each item led by its
+    "," but the first, and each on its own lines as indent=2 sets them; a
+    fill that yields no piece, or "" first, leaves its list []. Strings in
+    shell escape their quotes, so only the key itself matches.
+    """
+    empty = f'"{key}": []'
+    pieces = shell.rsplit(empty, len(fills))
+    yield pieces[0]
+    for before, fill, after in zip(pieces, fills, pieces[1:]):
+        items = iter(fill)
+        first = next(items, "")
+        if not first:
+            yield empty
+        else:
+            yield f'"{key}": [' + first
+            yield from items
+            # the closing bracket sits at the indent of the key's line
+            yield "\n" + before[before.rfind("\n") + 1:] + "]"
+        yield after
 
 
 def digraph_from_json(obj: dict) -> Digraph:

@@ -8,10 +8,11 @@ seed per cell, so reports are reproducible cell-by-cell.
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import os
 import statistics
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .digraph import (
     Digraph,
+    _fill_json_lists,
     _require_memory,
     _w_random_draw,
     bidirected_double_cover,
@@ -69,9 +71,10 @@ _NU_GAPS_CELL_BYTES_PER_N2 = 70
 # of trace_power and the eigensolves; the regular graph takes under 5.
 _COVER_BYTES_PER_N2 = 33
 # Resident bytes the report of a converge run holds per reported eigenvalue
-# (its Spectrum point, JSON dict and text: 1.30-1.33 K at n = 200) and per
-# cell (row, cell tuple, pool future and ledgers: 6.5 K in all at n = 1).
-_REPORT_BYTES_PER_EIGENVALUE = 1400
+# (its Spectrum point and its text, twice while the rows' texts are joined:
+# 0.48 K at n = 100 and 0.51 K at n = 200) and per cell (row, cell tuple,
+# pool future and ledgers: 6.5 K in all at n = 1).
+_REPORT_BYTES_PER_EIGENVALUE = 600
 _REPORT_BYTES_PER_CELL = 5400
 _IMAG_TOL = 1e-8  # largest imaginary residue of a spectral power sum taken as rounding
 _COVER_CYCLES = (2, 3, 4)  # cycle lengths whose densities a double-cover row records
@@ -468,6 +471,37 @@ def convergence_report_to_json(report: ConvergenceReport) -> dict:
             for row in report.rows
         ],
     }
+
+
+# One point of a row's observed spectrum, a spectrum_to_json point, as
+# json.dumps(indent=2, sort_keys=True) writes it inside a report's rows.
+_ROW_POINT_JSON = ('\n          {\n            "im": %r,\n            "mult": %d,'
+                   '\n            "re": %r\n          }')
+
+
+def convergence_report_json_text(report: ConvergenceReport, extra: dict) -> str:
+    """json.dumps({**extra, **convergence_report_to_json(report)},
+    sort_keys=True, indent=2, allow_nan=False) + "\n", byte for byte.
+
+    json.dumps leaves its C encoder whenever indent is set, so the rows'
+    observed points, nearly all of a sampled report, are formatted from one
+    template instead (%r is float.__repr__, which json writes for a float)
+    and filled into the json.dumps text of the report without them. A NaN
+    or infinity anywhere raises json's ValueError before any text is made.
+    """
+    points = np.array([v for row in report.rows for v, _ in row.observed.points], np.complex128)
+    parts = np.column_stack((points.imag, points.real)).ravel()  # json's order: "im", "re"
+    bad = parts[~np.isfinite(parts)]
+    if bad.size:
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+    rows = tuple(replace(row, observed=Spectrum((), row.observed.includes_zero_spectral_point))
+                 for row in report.rows)
+    shell = json.dumps({**extra, **convergence_report_to_json(
+        ConvergenceReport(report.limit_spectrum, rows))},
+        sort_keys=True, indent=2, allow_nan=False) + "\n"
+    texts = [[",".join([_ROW_POINT_JSON % (v.imag, m, v.real) for v, m in row.observed.points])]
+             for row in report.rows]
+    return "".join(_fill_json_lists(shell, "points", texts))
 
 
 def convergence_report_to_csv(report: ConvergenceReport) -> str:

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 import digraphon
 
 from digraphon import (
+    ConvergenceReport,
+    Spectrum,
     bidirected_crossing_pair,
     collapse,
     digraph_from_edgelist,
@@ -320,6 +323,40 @@ def test_non_finite_result_exits_4_and_writes_no_file(monkeypatch, digraphon_fil
     out = tmp_path / "out"
     assert main(["cutnorm", "--kernel", digraphon_file, "--out-dir", str(out)]) == 4
     assert _one_error_line(capsys.readouterr().err)["error"] == "NumericalError"
+    assert not out.exists()
+
+
+def _spoil_last_row(report, field, value):
+    """report with its last row's hausdorff, or one added point's real part, set to value."""
+    row = report.rows[-1]
+    if field == "hausdorff":
+        row = replace(row, hausdorff=value)
+    else:
+        row = replace(row, observed=Spectrum(((complex(value, 0.0), 1), *row.observed.points),
+                                             row.observed.includes_zero_spectral_point))
+    return ConvergenceReport(report.limit_spectrum, report.rows[:-1] + (row,))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("field", ["hausdorff", "point"])
+@pytest.mark.parametrize("command", ["converge", "step-converge"])
+def test_non_finite_convergence_report_exits_4_and_makes_no_directory(
+        monkeypatch, command, field, value, digraphon_file, step_sequence_files, tmp_path, capsys):
+    name, argv = {
+        "converge": ("convergence_experiment", [
+            "converge", "--kernel", digraphon_file, "--sizes", "10,20", "--seeds-per-size", "2",
+            "--epsilon", "0.05", "--seed", "1"]),
+        "step-converge": ("step_sequence_convergence", [
+            "step-converge", "--kernel", step_sequence_files[0],
+            "--members", *step_sequence_files[1], "--epsilon", "0.1"]),
+    }[command]
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **kw: _spoil_last_row(real(*a, **kw), field, value))
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 4
+    err = _one_error_line(capsys.readouterr().err)
+    assert err["error"] == "NumericalError"
+    assert err["message"] == f"result is not finite: Out of range float values are not JSON compliant: {value!r}"
     assert not out.exists()
 
 

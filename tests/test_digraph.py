@@ -530,6 +530,44 @@ def test_samplers_match_the_vectorised_samplers_byte_for_byte(n):
             assert h.adj.tobytes() == frozen_sample_bidirected_random(p, n, seed).tobytes()
 
 
+def frozen_row_sampler(w1, w2, measures, n, seed):
+    """The sampler before block draws: one random() call and threshold sum per row."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(len(measures), size=n, p=measures)
+    adj = np.zeros((n, n), dtype=np.int8)
+    for i in range(n - 1):
+        x, rest = labels[i], labels[i + 1:]
+        u = rng.random(n - 1 - i)
+        both = w1[x][rest]
+        t1 = both + w2[x][rest]
+        adj[i, i + 1:] = u < t1
+        adj[i + 1:, i] = (u < both) | ((u >= t1) & (u < t1 + w2[:, x][rest]))
+    return adj, labels
+
+
+@pytest.mark.parametrize("cells,sizes", [
+    # 4 rows a block at n = 16 (the last of 15 rows a block of 3), 3 at
+    # n = 17 (a last block of 1), 2 at n = 22 and 1 at n = 64 and 65
+    (64, (1, 2, 3, 16, 17, 22, 64, 65)),
+    # the default: n = 512 is one block of 511 rows, n = 513 two blocks
+    (1 << 18, (511, 512, 513)),
+])
+def test_block_sampler_equals_the_frozen_row_loop(monkeypatch, cells, sizes):
+    monkeypatch.setattr(digraph, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(16)
+    for k in (1, 2, 7):  # 7 labels outnumber the rows of a small block
+        w, p = random_digraphon(rng, k), random_pair(rng, k)
+        assert np.any(p.w1 != 0)
+        for w1, w2, measures in ((np.zeros_like(w.values), w.values, w.measures),
+                                 (p.w1, p.w2, p.measures)):
+            for n in sizes:
+                for seed in (0, 2**40 + 3):
+                    adj, labels = digraph._sample_adjacency(w1, w2, measures, n, seed)
+                    old_adj, old_labels = frozen_row_sampler(w1, w2, measures, n, seed)
+                    assert adj.tobytes() == old_adj.tobytes()
+                    assert np.array_equal(labels, old_labels)
+
+
 def test_sample_refuses_n_beyond_physical_memory_before_allocating():
     w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), uniform_measures(2))
     tracemalloc.start()
@@ -757,7 +795,7 @@ def dumped(g, extra):
 @pytest.mark.parametrize("cells", [1, 64, 1 << 18])
 def test_json_writer_matches_json_dumps(monkeypatch, cells):
     # cells=1 and 64 put one row per block, so block joins and empty rows are hit
-    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    monkeypatch.setattr(digraph, "_BLOCK_CELLS", cells)
     rng = np.random.default_rng(12)
     graphs = [empty_digraph(1), empty_digraph(7), cycle_digraph(2), complete_bidirected_digraph(4),
               random_digraph(rng, 50), sample_bidirected_random(random_pair(rng, 3), 40, seed=1)]
@@ -770,7 +808,7 @@ def test_json_writer_matches_json_dumps(monkeypatch, cells):
 
 @pytest.mark.parametrize("cells", [1, 1 << 18])
 def test_edgelist_writer_matches_the_joined_lines(monkeypatch, cells):
-    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    monkeypatch.setattr(digraph, "_BLOCK_CELLS", cells)
     rng = np.random.default_rng(13)
     for g in (empty_digraph(1), empty_digraph(3), cycle_digraph(2), random_digraph(rng, 60),
               sample_bidirected_random(random_pair(rng, 2), 30, seed=4)):
@@ -781,7 +819,7 @@ def test_edgelist_writer_matches_the_joined_lines(monkeypatch, cells):
 
 def frozen_edge_text(g, template, sep):
     """The %-template _edge_text that the per-vertex string tables replaced."""
-    step = max(1, digraph._WRITE_CELLS // g.n)
+    step = max(1, digraph._BLOCK_CELLS // g.n)
     lead = ""
     for lo in range(0, g.n, step):
         ii, jj = np.nonzero(g.adj[lo:lo + step])
@@ -797,7 +835,7 @@ def test_edge_text_equals_the_frozen_template_writer(monkeypatch, cells):
     # n = 11, 101, 1001 end on a partial block, and of 25 rows at n = 120,
     # where `gaps` has an empty first row and an empty block (rows 50-74);
     # cells=1 makes every row a block
-    monkeypatch.setattr(digraph, "_WRITE_CELLS", cells)
+    monkeypatch.setattr(digraph, "_BLOCK_CELLS", cells)
     rng = np.random.default_rng(15)
     gaps = np.triu(rng.random((120, 120)) < 0.2, 1).astype(np.int8)
     gaps[0] = 0

@@ -3,19 +3,24 @@ import json
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from digraphon import (
     BudgetError,
+    ConvergenceReport,
+    ConvergenceRow,
     IsolationError,
     NumericalError,
+    Spectrum,
     StepDigraphon,
     StepKernel,
     bidirected_crossing_pair,
     collapse,
     convergence_experiment,
+    convergence_report_json_text,
     convergence_report_to_csv,
     convergence_report_to_json,
     cut_metric,
@@ -637,6 +642,52 @@ def test_convergence_report_serialization_shapes():
     header = [ln for ln in csv_text.splitlines() if not ln.startswith("#")][0]
     assert header.split(",")[:3] == ["n", "seed", "hausdorff"]
     assert len(csv_text.strip().splitlines()) >= 5
+
+
+def _hand_made_report():
+    """Extreme floats in rows' points, an empty limit and an empty row."""
+    points = ((complex(-0.0, 5e-324), 1), (complex(-1e-300, -0.0), 2), (complex(1e308, 1e-7), 3))
+    rows = (ConvergenceRow(4, None, Spectrum(points, True), 1e308, ()),
+            ConvergenceRow(5, 2**63 - 1, Spectrum((), False), -0.0, (), (5e-324, 0.5)))
+    return ConvergenceReport(Spectrum(()), rows)
+
+
+def _writer_reports():
+    w = StepDigraphon(np.array([[0.0, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    looped = StepDigraphon(np.array([[0.5, 0.25], [0.25, 0.0]]), [0.5, 0.5])
+    limit = StepDigraphon(np.full((2, 2), 0.2), uniform_measures(2))
+    zero = StepKernel(np.zeros((2, 2)), uniform_measures(2), bound=1.0)
+    return {
+        "nu-gaps": lambda: convergence_experiment(w, [12, 30], 2, 0.05, seed=7, nu_gaps=True),
+        "looped": lambda: convergence_experiment(looped, [10, 40], 2, 0.02, seed=3),
+        "step-converge": lambda: step_sequence_convergence([zero, limit], limit, 0.1),
+        "hand-made": _hand_made_report,
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_reports()))
+def test_convergence_report_json_text_equals_json_dumps(name):
+    report = _writer_reports()[name]()
+    if name == "step-converge":
+        assert report.rows[0].observed.points == () and report.rows[0].seed is None
+    for extra in ({}, {"config": {"command": "converge", "kernel": 'x"points": [].json',
+                                  "epsilon": 0.05, "sizes": [12, 30]}}):
+        expected = json.dumps({**extra, **convergence_report_to_json(report)},
+                              sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert convergence_report_json_text(report, extra) == expected
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_convergence_report_json_text_refuses_what_json_dumps_refuses(value):
+    report = _hand_made_report()
+    spoilt = ConvergenceRow(6, None, Spectrum(((complex(0.5, value), 1),), True), 0.0, ())
+    for bad in (ConvergenceReport(report.limit_spectrum, report.rows + (spoilt,)),
+                ConvergenceReport(report.limit_spectrum, (replace(report.rows[0], hausdorff=value),))):
+        with pytest.raises(ValueError) as refused:
+            json.dumps(convergence_report_to_json(bad), sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as raised:
+            convergence_report_json_text(bad, {})
+        assert str(raised.value) == str(refused.value)
 
 
 def test_trace_checks_csv():

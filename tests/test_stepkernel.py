@@ -39,6 +39,7 @@ from digraphon import (
     uniform_measures,
 )
 import digraphon.stepkernel as sk
+from digraphon import digraph
 
 
 def brute_hom_density_step(h, w):
@@ -206,6 +207,25 @@ def test_hom_density_step_trace_bridge():
             assert hom_density_step(cycle_digraph(ell), w) == pytest.approx(
                 float(np.trace(np.linalg.matrix_power(b, ell))), abs=1e-10
             )
+
+
+def test_block_sum_plans_each_contraction_once_with_the_bytes_of_planning_per_call(monkeypatch):
+    calls = []
+    plan = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path", lambda *a, **kw: calls.append(a[0]) or plan(*a, **kw))
+    digraph._contraction_path.cache_clear()
+    rng = np.random.default_rng(4)
+    for k in (1, 4, 8):
+        w = random_digraphon(rng, k)
+        for ell in range(2, 9):
+            factors = [(w.values, u, v) for u, v in cycle_digraph(ell).edges()]
+            spec = ",".join("abcdefgh"[u] + "abcdefgh"[v] for _, u, v in factors)
+            spec += "," + ",".join("abcdefgh"[:ell]) + "->"
+            planned = np.einsum(spec, *[f for f, _, _ in factors], *[w.measures] * ell,
+                                optimize=("greedy", digraph._EINSUM_MEM))
+            for _ in range(3):
+                assert sk._block_sum(factors, w.measures, ell).tobytes() == planned.tobytes()
+    assert len(calls) == 3 * 7  # one plan per (k, ell)
 
 
 def test_subgraph_density_step_two_isolated_vertices():
