@@ -117,27 +117,20 @@ def _has_antiparallel_pair(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class UndirectedRegularGraph:
-    """Simple undirected regular graph (symmetric 0/1 adjacency, zero diagonal)."""
+    """Simple undirected regular graph on an even number of vertices: a
+    symmetric adjacency whose 0/1 entries and zero diagonal Digraph checks."""
 
     adj: np.ndarray
     degree: int
 
     def __post_init__(self):
-        a = np.asarray(self.adj)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-            raise ValueError("adjacency must be square with at least 2 vertices")
+        a = Digraph(self.adj, allow_bidirected=True).adj
         if a.shape[0] % 2 != 0:
             raise ValueError("vertex count must be even")
-        if not (((a == 0) | (a == 1)).all()):
-            raise ValueError("adjacency entries must be 0 or 1")
-        a = a.astype(np.int8)
-        if np.any(a != a.T):
+        if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
-        if np.trace(a, dtype=np.int64) != 0:
-            raise ValueError("loops are not allowed")
         if np.any(a.sum(axis=1, dtype=np.int64) != self.degree):
             raise ValueError(f"every row must sum to degree={self.degree}")
-        a.setflags(write=False)
         object.__setattr__(self, "adj", a)
         object.__setattr__(self, "degree", int(self.degree))
 
@@ -558,6 +551,8 @@ def digraph_from_json(obj: dict) -> Digraph:
         raise ValueError("digraph JSON field 'n' must be a positive integer")
     if type(bidirected) is not bool:
         raise ValueError("digraph JSON field 'allow_bidirected' must be true or false")
+    if not isinstance(obj["edges"], (list, tuple)):
+        raise ValueError("digraph JSON field 'edges' must be a list")
     _require_memory(_SAMPLE_BYTES_PER_N2 * n * n, f"loading a digraph on n={n} vertices")
     adj = np.zeros((n, n), dtype=np.int8)
     for e in obj["edges"]:

@@ -61,14 +61,17 @@ from .stepkernel import (
 # growth, seeds 1-3, n = 1600 and 2400): 9.0 and 8.1 on the half-size
 # bipartite route (crossing surrogate; only B and C leave the int8
 # adjacency as float64), 19.2 and 18.5 on the whole adjacency (a 3-cycle of
-# blocks). The n x n step kernels and products of nu-gaps raise it to 62.0
-# and 60.8 (bipartite), 68.2 and 59.8 (whole adjacency). Each worker process
-# holds one cell, so a run holds as many cells as it has workers.
+# blocks; 18.6 re-measured at n = 1600 with eigvals reading the int8 sample,
+# since it makes the float64 copy itself). The n x n step kernels and
+# products of nu-gaps raise it to 62.0 and 60.8 (bipartite), 68.2 and 59.8
+# (whole adjacency). Each worker process holds one cell, so a run holds as
+# many cells as it has workers.
 _CELL_BYTES_PER_N2 = 20
 _NU_GAPS_CELL_BYTES_PER_N2 = 70
 # Resident bytes per n^2 of one double-cover degree d (n = 4d cover vertices):
 # 31.2 at n = 1600, 32.0 at n = 2400 (26.3 traced), from the float64 matrices
-# of trace_power and the eigensolves; the regular graph takes under 5.
+# of trace_power and the eigensolves (29.3 re-measured at n = 1600 with the
+# solvers reading the int8 covers); the regular graph takes under 5.
 _COVER_BYTES_PER_N2 = 33
 # Resident bytes the report of a converge run holds per reported eigenvalue
 # (its Spectrum point and its text, twice while the rows' texts are joined:
@@ -242,11 +245,8 @@ def _converge_cell(w: StepDigraphon, limit: Spectrum, epsilon: float, nu_gaps: b
     n, cell_seed = cell
     with np.errstate(**errstate):
         g, labels = _w_random_draw(w, n, cell_seed)
-        if sides is None:
-            observed = normalized_spectrum(g)
-        else:
-            vals = _bipartite_eigenvalues(g.adj, sides[labels])
-            observed = _adjacency_spectrum(vals, n, n, None)
+        observed = (normalized_spectrum(g) if sides is None else
+                    _adjacency_spectrum(_bipartite_eigenvalues(g.adj, sides[labels]), n))
         # The limit's zero point joins once pigeonhole forces a small
         # observed eigenvalue (more vertices than nonzero limit mass).
         return _row(w, limit, epsilon, n, cell_seed, observed, n > limit.total_multiplicity,
@@ -379,10 +379,10 @@ def _cover_diagnostics(h: Digraph, solve, expected: np.ndarray,
     """Of one cover h: the match error of solve(adjacency) against the expected
     eigenvalues, the cycle densities, and the Hausdorff distance of the
     normalized spectrum (from the same eigenvalues) to targets."""
-    eig = solve(h.adj.astype(np.float64))
+    eig = solve(h.adj)
     # t(C_ell, H) = Tr(A^ell) / n^ell: the cycle's homomorphism count, exactly
     densities = {ell: trace_power(h, ell) / h.n**ell for ell in _COVER_CYCLES}
-    dist = hausdorff_distance(_adjacency_spectrum(eig, h.n, h.n, None).point_set(), targets)
+    dist = hausdorff_distance(_adjacency_spectrum(eig, h.n).point_set(), targets)
     return _match_multisets(eig, expected), densities, dist
 
 
@@ -419,7 +419,7 @@ def double_cover_example(
         a = random_regular_graph(2 * d, d, cell_seed)
         tol = spectral_tol if spectral_tol is not None else 1e-5 * d
 
-        lam = _symmetric_eigenvalues(a.adj.astype(np.float64)).real[::-1]
+        lam = _symmetric_eigenvalues(a.adj).real[::-1]
         if abs(lam[0] - d) > tol:
             raise NumericalError(
                 f"top eigenvalue {lam[0]:.6f} of a {d}-regular graph is not {d}"

@@ -88,11 +88,11 @@ def default_cluster_tol(n: int, max_abs: float) -> float:
     return max(1e-7, 1e-8 * n * max_abs)
 
 
-def _finite_square(m, integers: bool = False) -> np.ndarray:
-    """m as a float64 array, or as it stands when integers is set and m holds
-    integers or bools; ValueError unless it is square, non-empty and finite."""
+def _finite_square(m) -> np.ndarray:
+    """m as it stands when it holds integers or bools, else as a float64 array;
+    ValueError unless it is square, non-empty and finite."""
     a = np.asarray(m)
-    exact = integers and a.dtype.kind in "biu"
+    exact = a.dtype.kind in "biu"
     if not exact:
         a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -106,7 +106,8 @@ def _checked_solve(solve, a: np.ndarray) -> np.ndarray:
     """solve(a), sorted by (real, imaginary) part and checked against the trace.
 
     A LAPACK failure, a list not closed under conjugation or a sum that
-    strays from Tr(a) raises NumericalError.
+    strays from Tr(a), summed in float64 so that an integer a cannot wrap,
+    raises NumericalError.
     """
     try:
         vals = solve(a)
@@ -118,7 +119,7 @@ def _checked_solve(solve, a: np.ndarray) -> np.ndarray:
     vals.imag[vals.imag == 0.0] = 0.0
     if not np.array_equal(vals, np.sort_complex(vals.conj())):
         raise NumericalError("eigenvalue list is not closed under conjugation")
-    residual = abs(vals.sum() - np.trace(a))
+    residual = abs(vals.sum() - np.trace(a, dtype=np.float64))
     scale = max(1.0, float(a.max()), -float(a.min()))  # max |a|, with no n x n temporary
     if residual > 1e-6 * a.shape[0] * scale:
         raise NumericalError(
@@ -157,10 +158,10 @@ def _bipartite_eigenvalues(m: np.ndarray, side) -> np.ndarray:
     det(lam^2 I - B C), so its spectrum is +-sqrt(mu) over the eigenvalues
     mu of the p x p product B C (dgeev) and q - p zeros. Near 0 the square
     root amplifies the solver's error to about sqrt(u |B| |C|). Raises
-    ValueError unless both same-side blocks of m are exactly zero. An integer
-    m is checked as it stands and only B and C are converted to float64.
+    ValueError unless both same-side blocks of m are exactly zero. Only B and
+    C are converted to float64.
     """
-    a = _finite_square(m, integers=True)
+    a = _finite_square(m)
     side = np.asarray(side, dtype=bool)
     if side.shape != (a.shape[0],):
         raise ValueError("side must be a bool mask with one entry per row")
@@ -290,10 +291,10 @@ def cluster_multiplicities(points, tol: float) -> Spectrum:
     return Spectrum(pts_out)
 
 
-def _adjacency_spectrum(vals: np.ndarray, n: int, divisor: int, tol: float | None) -> Spectrum:
-    """Clustered spectrum of the n-vertex adjacency eigenvalues vals, divided by divisor."""
+def _adjacency_spectrum(vals: np.ndarray, divisor: int, tol: float | None = None) -> Spectrum:
+    """Clustered spectrum of the adjacency eigenvalues vals, one per vertex, divided by divisor."""
     if tol is None:
-        tol = default_cluster_tol(n, 1.0 / divisor)
+        tol = default_cluster_tol(vals.size, 1.0 / divisor)
     spec = cluster_multiplicities(vals / divisor, tol)
     has_zero = any(abs(v) <= tol for v, _ in spec.points)
     return replace(spec, includes_zero_spectral_point=has_zero)
@@ -301,12 +302,12 @@ def _adjacency_spectrum(vals: np.ndarray, n: int, divisor: int, tol: float | Non
 
 def digraph_spectrum(g: Digraph, tol: float | None = None) -> Spectrum:
     """Clustered spectrum of the adjacency matrix of a digraph."""
-    return _adjacency_spectrum(eigenvalues(g.adj.astype(np.float64)), g.n, 1, tol)
+    return _adjacency_spectrum(eigenvalues(g.adj), 1, tol)
 
 
 def normalized_spectrum(g: Digraph, tol: float | None = None) -> Spectrum:
     """Spectrum of the adjacency matrix divided by the vertex count."""
-    return _adjacency_spectrum(eigenvalues(g.adj.astype(np.float64)), g.n, g.n, tol)
+    return _adjacency_spectrum(eigenvalues(g.adj), g.n, tol)
 
 
 def step_spectrum(w: StepKernel, tol: float | None = None) -> Spectrum:

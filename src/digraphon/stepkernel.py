@@ -43,7 +43,7 @@ class StepKernel:
             raise ValueError("values must be finite")
         if m.ndim != 1 or m.shape[0] != v.shape[0]:
             raise ValueError("measures must be a vector matching the value matrix")
-        if np.any(m <= 0):
+        if not np.all(m > 0):  # NaN is not > 0
             raise ValueError("every block measure must be positive")
         if abs(float(m.sum()) - 1.0) > _MEASURE_TOL:
             raise ValueError("block measures must sum to 1")
@@ -97,7 +97,7 @@ class BidirectedStepPair:
             raise ValueError("w1, w2 must be k x k matrices matching the measures vector")
         if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
             raise ValueError("pair values must be finite")
-        if np.any(m <= 0) or abs(float(m.sum()) - 1.0) > _MEASURE_TOL:
+        if not np.all(m > 0) or abs(float(m.sum()) - 1.0) > _MEASURE_TOL:  # NaN is not > 0
             raise ValueError("block measures must be positive and sum to 1")
         if np.any(w1 < 0) or np.any(w2 < 0):
             raise ValueError("pair values must be non-negative")
@@ -140,7 +140,7 @@ def step_from_digraph(g: Digraph) -> StepDigraphon:
         raise TypeError(
             "digraph permits antiparallel pairs, which a step digraphon cannot hold"
         )
-    return StepDigraphon(g.adj.astype(np.float64), uniform_measures(g.n))
+    return StepDigraphon(g.adj, uniform_measures(g.n))
 
 
 def bidirected_crossing_pair() -> BidirectedStepPair:

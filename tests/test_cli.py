@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import digraphon
 
@@ -470,6 +471,33 @@ def test_exit_2_on_schema_violation(tmp_path):
     assert main(["spectrum", "--kernel", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("run,place", [
+    *((run, "kernel") for run in ("spectrum", "cutnorm", "trace-check", "sample-kernel",
+                                  "sample-pair", "converge", "step-converge")),
+    ("step-converge", "member"),
+])
+def test_exit_2_on_a_non_finite_block_measure(run, place, step_sequence_files, tmp_path, capsys):
+    # json.load reads the NaN literal, and every comparison with NaN is False
+    bad = tmp_path / "bad.json"
+    if run == "sample-pair":
+        bad.write_text(json.dumps({"measures": [float("nan"), 0.5], "W1": [[0.0, 0.5], [0.5, 0.0]],
+                                   "W2": [[0.0, 0.0], [0.0, 0.0]]}))
+    else:
+        bad.write_text(json.dumps({"k": 2, "measures": [float("nan"), 0.5], "type": "digraphon",
+                                   "values": [[0.0, 0.5], [0.25, 0.0]]}))
+    limit, members = step_sequence_files
+    files = {"@limit": limit if place == "member" else str(bad),
+             "@members": str(bad) if place == "member" else members[0]}
+    template, _ = _GOLDEN_RUNS[run]
+    argv = [files.get(arg, str(bad)) if arg.startswith("@") else arg for arg in template]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_exit_2_when_converge_needs_digraphon(tmp_path, crossing_kernel_file):
     # the crossing kernel is a plain kernel, not a digraphon
     assert main(["converge", "--kernel", crossing_kernel_file, "--sizes", "10",
@@ -801,6 +829,11 @@ def _refuse_constant(name):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_hostile_run())
+@example((["cutnorm", "--kernel", "@kernel"],
+          {"@kernel": {"k": 2, "measures": [float("nan"), 0.5], "values": [[0, 1], [1, 0]]}}))
+@example((["sample", "--pair", "@pair", "--n=5", "--seed=0"],
+          {"@pair": {"measures": [float("nan"), 0.5], "W1": [[0, 0.5], [0.5, 0]],
+                     "W2": [[0, 0], [0, 0]]}}))
 def test_hostile_input_keeps_the_exit_code_and_output_contract(run):
     argv, files = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -816,6 +849,10 @@ def test_hostile_input_keeps_the_exit_code_and_output_contract(run):
         outputs = [p.read_text() for p in out.iterdir()] if out.exists() else []
     assert code in (0, 2, 3, 4)
     assert [str(w.message) for w in caught] == []
+    if any(isinstance(obj, dict) and isinstance(obj.get("measures"), list)
+           and any(isinstance(x, float) and not math.isfinite(x) for x in obj["measures"])
+           for obj in files.values()):
+        assert code != 0
     if code == 0:
         assert stderr.getvalue() == "" and len(outputs) == 1
         json.loads(outputs[0], parse_constant=_refuse_constant)

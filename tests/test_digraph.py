@@ -29,6 +29,7 @@ from digraphon import (
     sample_w_random,
     subgraph_density,
     trace_power,
+    UndirectedRegularGraph,
 )
 from digraphon import digraph
 from digraphon.stepkernel import (
@@ -599,6 +600,23 @@ def test_random_regular_graph_invariants_half_degree():
     assert np.array_equal(a.adj, a.adj.T)
 
 
+def test_undirected_regular_graph_rejects_each_defect():
+    c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+    a = UndirectedRegularGraph(c4, 2)
+    assert a.adj.dtype == np.int8 and not a.adj.flags.writeable and a.n2 == 4
+    not_binary, loop, asymmetric = c4.copy(), c4.copy(), c4.copy()
+    not_binary[0, 1] = not_binary[1, 0] = 2
+    loop[0, 0] = 1
+    asymmetric[0, 2] = 1
+    triangle = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
+    # each matrix has one defect, so the same check rejects it whatever the order
+    for adj, degree, message in [(not_binary, 2, "0 or 1"), (loop, 2, "loops are not allowed"),
+                                 (asymmetric, 2, "symmetric"), (triangle, 2, "even"),
+                                 (c4, 3, "degree"), (np.zeros((2, 2, 2)), 0, "square")]:
+        with pytest.raises(ValueError, match=message):
+            UndirectedRegularGraph(adj, degree)
+
+
 def test_random_regular_graph_deterministic():
     a = random_regular_graph(16, 3, seed=2)
     b = random_regular_graph(16, 3, seed=2)
@@ -771,6 +789,12 @@ def test_digraph_json_rejects_malformed():
                           ("n=x bidirected=1", "n"), ("n=2.5 bidirected=1", "n")]:
         with pytest.raises(ValueError, match=f"edge-list header '# {header}': {field} must be"):
             digraph_from_edgelist(f"# {header}\n0 1\n")
+
+
+def test_digraph_json_rejects_edges_that_are_not_a_list():
+    for edges in (5, None, True, 0.5, "", {}):
+        with pytest.raises(ValueError, match="'edges'"):
+            digraph_from_json({"n": 2, "allow_bidirected": False, "edges": edges})
 
 
 def test_digraph_json_requires_a_boolean_allow_bidirected():

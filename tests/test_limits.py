@@ -611,7 +611,7 @@ def test_double_cover_example_solves_each_matrix_once(monkeypatch):
         a = random_regular_graph(2 * d, d, row.seed)
         bi, one = bidirected_double_cover(a), oneway_double_cover(a)
         fresh_bi = spectra._adjacency_spectrum(
-            spectra._symmetric_eigenvalues(bi.adj.astype(float)), bi.n, bi.n, None)
+            spectra._symmetric_eigenvalues(bi.adj.astype(float)), bi.n)
         # the same bits as clustering a fresh solve of the cover on the same solver
         for spec, dist in ((fresh_bi, row.hausdorff_bidirected),
                            (spectra.normalized_spectrum(one), row.hausdorff_oneway)):

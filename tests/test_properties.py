@@ -1,0 +1,89 @@
+"""Properties of the step-kernel densities and cut norm on random inputs.
+
+Each property is a derandomized hypothesis test with its own example cap,
+so the module runs the same examples every time.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from digraphon import (
+    BidirectedStepPair,
+    Digraph,
+    StepKernel,
+    collapse,
+    cut_norm_witness,
+    hom_density_pair,
+    hom_density_step,
+)
+
+_UNIT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _measures(draw, k):
+    m = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return m / m.sum()
+
+
+@st.composite
+def _pairs(draw):
+    """A pair on 1-4 blocks: W1 and W2 each at most 1/3, so W1 + W2 + W2^T <= 1."""
+    k = draw(st.integers(1, 4))
+    a, b = (np.array(draw(st.lists(_UNIT, min_size=k * k, max_size=k * k))).reshape(k, k)
+            for _ in range(2))
+    return BidirectedStepPair((a + a.T) / 6, b / 3, draw(_measures(k)))
+
+
+@st.composite
+def _antiparallel_free(draw):
+    """A digraph on 1-4 vertices in which each pair carries no edge, u -> v or v -> u."""
+    n = draw(st.integers(1, 4))
+    adj = np.zeros((n, n), dtype=np.int8)
+    for u in range(n):
+        for v in range(u + 1, n):
+            kind = draw(st.integers(0, 2))
+            if kind:
+                adj[(u, v) if kind == 1 else (v, u)] = 1
+    return Digraph(adj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_antiparallel_free(), _pairs())
+def test_pair_density_of_an_antiparallel_free_pattern_is_the_collapsed_density(h, p):
+    # each single edge of H sees W1 + W2, which collapse(p) holds
+    assert hom_density_pair(h, p) == pytest.approx(hom_density_step(h, collapse(p)),
+                                                   rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def _kernels_and_subset_pairs(draw):
+    """A kernel on 1-6 blocks with values in [-1, 1], and up to 8 block-subset masks (S, T)."""
+    k = draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                                              st.floats(-1.0, 1.0)),
+                                    min_size=k * k, max_size=k * k))).reshape(k, k)
+    masks = st.integers(0, 2**k - 1)
+    return StepKernel(values, draw(_measures(k))), draw(st.lists(st.tuples(masks, masks),
+                                                                 max_size=8))
+
+
+def _cut_sum(v: StepKernel, rows, cols) -> float:
+    """|sum over S x T of mu_i mu_j V[i, j]|, summed here from the kernel's fields."""
+    rows, cols = list(rows), list(cols)
+    return abs(float(v.measures[rows] @ v.values[np.ix_(rows, cols)] @ v.measures[cols]))
+
+
+def _blocks(mask: int, k: int) -> list[int]:
+    return [b for b in range(k) if mask >> b & 1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernels_and_subset_pairs())
+def test_cut_norm_witness_attains_its_value_and_bounds_every_subset_pair(case):
+    v, masks = case
+    value, rows, cols = cut_norm_witness(v)
+    assert _cut_sum(v, rows, cols) == pytest.approx(value, rel=1e-12, abs=1e-15)
+    single = [([i], [j]) for i in range(v.k) for j in range(v.k)]
+    for s, t in single + [(_blocks(s, v.k), _blocks(t, v.k)) for s, t in masks]:
+        assert _cut_sum(v, s, t) <= value * (1 + 1e-12) + 1e-15

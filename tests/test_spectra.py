@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digraphon import (
+    Digraph,
     IsolationError,
     NumericalError,
     Spectrum,
@@ -212,7 +213,7 @@ def test_bipartite_eigenvalues_agree_with_the_general_solver(w, block_side):
             vals = spectra._bipartite_eigenvalues(g.adj, np.asarray(block_side)[labels])
             assert_sorted_conjugate_closed_without_negative_zeros(vals)
             assert vals.size == n
-            fast = spectra._adjacency_spectrum(vals, n, n, None)
+            fast = spectra._adjacency_spectrum(vals, n)
             full = normalized_spectrum(g)
             assert hausdorff_distance(fast.point_set(), full.point_set()) <= 1e-10
             for v, _ in limit.points:
@@ -239,6 +240,30 @@ def test_bipartite_eigenvalues_edge_cases():
         assert np.count_nonzero(vals == 0) == 3
         # dgeev splits a double eigenvalue of B C by about sqrt(u)
         assert hausdorff_distance(vals, eigenvalues(m)) <= 1e-6
+
+
+def test_solvers_read_an_int8_adjacency_with_the_bits_of_its_float64_copy():
+    # numpy's eigvals and eigvalsh cast the int8 matrix to float64 themselves
+    rng = np.random.default_rng(12)
+    w = StepDigraphon(np.array([[0.1, 0.4], [0.3, 0.2]]), uniform_measures(2))
+    cover = bidirected_double_cover(random_regular_graph(12, 5, seed=3))
+    directed = [sample_w_random(w, n, seed=n).adj for n in (1, 2, 50, 800)]
+    symmetric = [cover.adj]
+    for n in (1, 2, 50, 800):
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        symmetric.append(Digraph(upper | upper.T, allow_bidirected=True).adj)
+    with spectra.one_blas_thread():
+        for solve, adjs in ((eigenvalues, directed + symmetric),
+                            (spectra._symmetric_eigenvalues, symmetric)):
+            for adj in adjs:
+                assert adj.dtype == np.int8 and not adj.flags.writeable
+                assert solve(adj).tobytes() == solve(adj.astype(np.float64)).tobytes()
+
+
+def test_eigenvalue_sum_is_checked_against_an_unwrapped_trace():
+    # the trace of an int64 matrix is summed in float64: 2 * 2^62 would wrap to 0 in int64
+    m = np.diag(np.array([2**62, 2**62], dtype=np.int64))
+    assert np.array_equal(eigenvalues(m), eigenvalues(m.astype(np.float64)))
 
 
 def test_bipartite_eigenvalues_keep_an_integer_adjacency_as_it_stands():

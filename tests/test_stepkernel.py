@@ -755,6 +755,19 @@ def test_kernel_json_rejects_malformed():
         kernel_from_json({"k": 3, "measures": [0.5, 0.5], "values": [[0.0]]})
 
 
+@pytest.mark.parametrize("measures", [[float("nan"), 0.5], [float("nan")], [0.5, float("inf")],
+                                      [float("-inf"), 1.0]])
+def test_kernel_and_pair_reject_a_non_finite_block_measure(measures):
+    # NaN <= 0 and |NaN - 1| > tol are both False
+    k = len(measures)
+    values = np.full((k, k), 0.25)
+    for make in (StepKernel, StepDigraphon):
+        with pytest.raises(ValueError, match="measure"):
+            make(values, measures)
+    with pytest.raises(ValueError, match="measures"):
+        BidirectedStepPair(np.zeros((k, k)), values, measures)
+
+
 def test_kernel_json_rejects_a_boolean_block_count():
     with pytest.raises(ValueError, match="shapes"):
         kernel_from_json({"k": True, "measures": [1.0], "values": [[0.5]]})
