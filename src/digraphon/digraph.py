@@ -47,8 +47,9 @@ _PAIRING_ROUNDS = 1000
 _SAMPLE_BYTES_PER_N2 = 3
 _SAMPLE_BYTES_PER_CELL = 21
 # random_regular_graph peaks at 32 bytes per stub (n2 * degree) in a pairing
-# round plus 3 per n2^2 (adjacency, validation): traced and resident peaks are
-# 16.7 per n2^2 at degree n2 / 2 (n2 = 2000, 4000), 9.0 at n2 / 4, 3.0 at 10.
+# round plus 3 per n2^2 (adjacency, validation): traced peaks are 17.1 per
+# n2^2 at degree n2 / 2 (n2 = 2000, 4000), 9.6 at n2 / 4, 3.0 at 10; resident
+# growth at n2 = 4000 is 17.9 and 10.6.
 _PAIRING_BYTES_PER_STUB = 32
 _REGULAR_BYTES_PER_N2 = 3
 # Rows per strip of the antiparallel-pair check.
@@ -387,6 +388,23 @@ def _sample_adjacency(w1, w2, measures, n: int, seed: int) -> tuple[np.ndarray, 
     return adj, labels
 
 
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True, return_counts=True) without a stable sort.
+
+    The first index of each distinct key is the least original index in its
+    run of the unstably sorted keys.
+    """
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    new_run = np.ones(keys.size, dtype=bool)
+    new_run[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(new_run)
+    del new_run
+    first = np.minimum.reduceat(order, starts)
+    del order
+    return sorted_keys[starts], first, np.diff(starts, append=keys.size)
+
+
 def _try_pairing(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | None:
     """One pairing attempt: the adjacency, or None when the leftovers are stuck.
 
@@ -395,24 +413,30 @@ def _try_pairing(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | 
     first appearance.
     """
     adj = np.zeros((n, n), dtype=np.int8)
+    neighbours = np.zeros(n, dtype=np.int64)
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(_PAIRING_ROUNDS):
         if stubs.size == 0:
             return adj
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        pairs.sort(axis=1)
-        u, v = pairs.T
+        u = np.minimum(stubs[0::2], stubs[1::2])
+        v = np.maximum(stubs[0::2], stubs[1::2])
+        # dropped before the sort, as _first_seen drops its temporaries, so a
+        # round stays within _PAIRING_BYTES_PER_STUB
+        del stubs
         ok = np.zeros(u.size, dtype=bool)
-        ok[np.unique(u * n + v, return_index=True)[1]] = True
+        ok[_first_seen(u * n + v)[1]] = True
         ok &= (u != v) & (adj[u, v] == 0)
         adj[u[ok], v[ok]] = 1
         adj[v[ok], u[ok]] = 1
-        vertices, first, counts = np.unique(pairs[~ok], return_index=True, return_counts=True)
+        neighbours += np.bincount(u[ok], minlength=n) + np.bincount(v[ok], minlength=n)
+        vertices, first, counts = _first_seen(np.stack((u[~ok], v[~ok]), axis=1).ravel())
         order = np.argsort(first)
         left = vertices[order]
-        # stuck when no two distinct leftover vertices are still non-adjacent
-        if left.size and adj[np.ix_(left, left)].sum() == left.size * (left.size - 1):
+        # stuck when no two distinct leftover vertices are still non-adjacent,
+        # which needs each of them to have at least left.size - 1 neighbours
+        if (left.size and neighbours[left].min() >= left.size - 1
+                and adj[np.ix_(left, left)].sum() == left.size * (left.size - 1)):
             return None
         stubs = np.repeat(left, counts[order])
     return None

@@ -23,6 +23,10 @@ _CUT_NORM_MAX_BLOCKS = 24
 # The cut scan pairs a table over the subsets of this many low rows with one
 # entry of the table over the remaining rows at a time.
 _CUT_LOW_ROWS = 10
+# The float32 screen's low-row table is larger: its pass is one add, abs and
+# column sum per high row at half the bytes, so fewer, longer rows are faster
+# (13 timed fastest of 11-15 at k = 20, 22 and 24).
+_CUT_SCREEN_LOW_ROWS = 13
 _REFINEMENT_MAX_BLOCKS = 10_000
 
 
@@ -231,10 +235,72 @@ def _subset_sums(r: np.ndarray) -> np.ndarray:
     table plus row b.
     """
     out = np.concatenate((r, r.sum(axis=1, keepdims=True)), axis=1)
-    table = np.zeros((out.shape[1], 1))
+    table = np.empty((out.shape[1], 1 << out.shape[0]))
+    table[:, 0] = 0.0
     for b in range(out.shape[0]):
-        table = np.concatenate((table, table + out[b, :, None]), axis=1)
+        np.add(table[:, :1 << b], out[b, :, None], out=table[:, 1 << b:2 << b])
     return table
+
+
+def _subset_scores(low: np.ndarray, high: np.ndarray, h: int, sums: np.ndarray) -> np.ndarray:
+    """twice = sum_j |c_j| + |c_k| of the row subsets (h << L) + i, i < 2^L.
+
+    The column sums are low[:, i] + high[:, h], in the tables' dtype; sums is
+    a work array of low's shape.
+    """
+    np.add(low, high[:, h, None], out=sums)
+    np.abs(sums, out=sums)
+    return sums.sum(axis=0)
+
+
+def _screen_margin(x: np.ndarray) -> float:
+    """A bound delta >= |twice32 - twice64| for every row subset of x, |x| <= 1.
+
+    twice32 is _subset_scores on the float64 subset-sum tables of x split at
+    _CUT_SCREEN_LOW_ROWS and cast to float32, twice64 on those split at
+    _CUT_LOW_ROWS. Let A = sum |x_ij|, u = 2^-24 (float32) and v = 2^-53
+    (float64), and let C_j be the exact column sums of a row subset (C_k the
+    exact sum of its rows), so E = sum_j |C_j| <= 2A. A recursive sum of n
+    terms errs by at most gamma_(n-1) = (n - 1) w / (1 - (n - 1) w) times
+    the sum of their magnitudes, in unit roundoff w and any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, section
+    4.2). Each table entry is such a float64 sum (the totals column sums
+    float64 row totals), so to first order in v either pass's entries a_j,
+    b_j satisfy sum_j |a_j - A_j| + |b_j - B_j| <= 3kvA and
+    sum_j |a_j| + |b_j| <= 2A (1 + 2kv).
+      - float32: the casts of a_j and b_j and their addition cost at most
+        (2u + u^2)(|a_j| + |b_j|) per column, and the (k+1)-term sum of the
+        |c_j| at most gamma_k times that sum:
+        |twice32 - E| <= 2A ((k + 2) u + O(ku^2 + kv)).
+      - float64: the addition and the (k+1)-term sum give
+        |twice64 - E| <= 2A O(kv), where kv <= 24 v < u 2^-24.
+    So |twice32 - twice64| <= 4 (k + 2) u 2A, with room for the higher-order
+    terms and for the float64 rounding of A, delta and the screen's
+    threshold. The 1e-30 covers entries and sums below float32's normal
+    range (2^-126), where each of the 3(k + 1) + k roundings loses up to
+    2^-150 absolutely (and float64's 2^-1075).
+    """
+    k = x.shape[0]
+    return 4 * (k + 2) * 2.0**-24 * 2 * float(np.abs(x).sum()) + 1e-30
+
+
+def _screen_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of the float32 screen that may hold a float64 maximum, ascending.
+
+    Row h of the screen covers the row subsets (h << L) + i, i < 2^L, for
+    L = min(k, _CUT_SCREEN_LOW_ROWS), and scores their float32 maximum. With
+    delta = _screen_margin(x), a float64 maximizer m* has
+    twice32(m*) >= twice64(m*) - delta >= twice64(m) - delta
+    >= twice32(m) - 2 delta for every m, so its row scores at least
+    max32 - 2 delta.
+    """
+    low_rows = min(x.shape[0], _CUT_SCREEN_LOW_ROWS)
+    low = _subset_sums(x[:low_rows]).astype(np.float32)
+    high = _subset_sums(x[low_rows:]).astype(np.float32)
+    sums = np.empty_like(low)
+    row_max = np.array([_subset_scores(low, high, h, sums).max() for h in range(high.shape[1])],
+                       dtype=np.float64)
+    return np.flatnonzero(row_max >= row_max.max() - 2 * _screen_margin(x))
 
 
 def _cut_scan(r: np.ndarray) -> CutNormWitness:
@@ -249,27 +315,39 @@ def _cut_scan(r: np.ndarray) -> CutNormWitness:
     winner is the first maximum in that order. When several subset pairs
     attain the maximum exactly, which one wins depends on the rounding of
     the sums.
+
+    r is first scaled by a power of two to max |x| in [1/2, 1), which is
+    exact while the entries and sums stay in float64's normal range, so
+    every comparison is the one on r. A float32 screen (_screen_rows) keeps
+    the screen rows that may hold a maximum, and the float64 scan runs over
+    the subsets of those rows only, in ascending order, so it finds the same
+    first maximum as a scan over all subsets.
     """
     k = r.shape[0]
+    scale = int(np.frexp(np.max(np.abs(r)))[1])
+    x = np.ldexp(r, -scale)
+    screen_rows = _screen_rows(x)
     low_rows = min(k, _CUT_LOW_ROWS)
-    low = _subset_sums(r[:low_rows])
-    high = _subset_sums(r[low_rows:])
+    low = _subset_sums(x[:low_rows])
+    high = _subset_sums(x[low_rows:])
+    per_screen_row = 1 << (min(k, _CUT_SCREEN_LOW_ROWS) - low_rows)
     sums = np.empty_like(low)
     best = 0.0
     best_mask = 0
-    for h in range(high.shape[1]):
-        np.add(low, high[:, h, None], out=sums)
-        np.abs(sums, out=sums)
-        twice = sums.sum(axis=0)
-        i = int(np.argmax(twice))
-        if twice[i] > best:
-            best = float(twice[i])
-            best_mask = (h << low_rows) + i
+    for s in screen_rows:
+        for h in range(s * per_screen_row, (s + 1) * per_screen_row):
+            twice = _subset_scores(low, high, h, sums)
+            i = int(np.argmax(twice))
+            if twice[i] > best:
+                best = float(twice[i])
+                best_mask = (h << low_rows) + i
     h, i = divmod(best_mask, 1 << low_rows)
     col_sums = low[:, i] + high[:, h]
     cols = col_sums[:k] > 0.0 if col_sums[k] >= 0.0 else col_sums[:k] < 0.0
     rows = tuple(b for b in range(k) if (best_mask >> b) & 1)
-    return CutNormWitness(0.5 * best, rows, tuple(int(j) for j in np.nonzero(cols)[0]))
+    # halved before unscaling, so a value near float64's maximum stays finite
+    value = math.ldexp(0.5 * best, scale)
+    return CutNormWitness(value, rows, tuple(int(j) for j in np.nonzero(cols)[0]))
 
 
 def _weighted(v: StepKernel) -> np.ndarray:

@@ -131,6 +131,20 @@ def test_cutnorm_value(crossing_kernel_file, tmp_path):
     assert obj["row_blocks"] and obj["col_blocks"]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_cutnorm_of_values_near_the_float64_maximum_exits_0(k, tmp_path):
+    # the cut norm is 1e308, but twice it overflowed: cutnorm first wrote
+    # "value": Infinity, then exited 4 with "overflow encountered in reduce"
+    kernel = tmp_path / "big.json"
+    kernel.write_text(json.dumps({"k": k, "measures": [1 / k] * k,
+                                  "values": [[1e308] * k] * k, "bound": 1e308}))
+    out = tmp_path / "out"
+    assert main(["cutnorm", "--kernel", str(kernel), "--out-dir", str(out)]) == 0
+    obj = json.loads((out / "cutnorm.json").read_text())
+    assert obj["value"] == 1e308
+    assert obj["row_blocks"] == obj["col_blocks"] == list(range(k))
+
+
 def test_sample_json_and_determinism(digraphon_file, tmp_path):
     out = tmp_path / "out"
     args = ["sample", "--kernel", digraphon_file, "--n", "30", "--seed", "5",
@@ -293,13 +307,12 @@ def _one_error_line(err: str) -> dict:
 
 @pytest.mark.parametrize("command,value,codes", [
     (["trace-check", "--ell-max", "4"], 1e200, {4}),
-    (["cutnorm"], 1e308, {4}),
     (["step-converge", "--members", "@big", "--epsilon", "0.1"], 1e308, {2, 4}),
 ])
 def test_floating_overflow_exits_with_one_json_line(command, value, codes, tmp_path):
-    # trace-check raised OverflowError from a power sum (exit 1, traceback),
-    # cutnorm wrote "value": Infinity and step-converge printed RuntimeWarnings;
-    # a subprocess, so that warnings reach the stderr checked here
+    # trace-check raised OverflowError from a power sum (exit 1, traceback)
+    # and step-converge printed RuntimeWarnings; a subprocess, so that
+    # warnings reach the stderr checked here
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"k": 1, "values": [[value]], "measures": [1.0], "bound": value}))
     kernel = big

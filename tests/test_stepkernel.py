@@ -471,6 +471,105 @@ def test_cut_norm_witness_attains_value_on_ties():
             assert witness.value == pytest.approx(gemm_cut_scan(r)[0], abs=1e-14)
 
 
+def frozen_float64_cut_scan(r):
+    """The cut scan before the float32 screen: every row subset scored in
+    float64, from subset-sum tables over the first 10 rows and over the rest."""
+    def subset_sums(rows):
+        out = np.concatenate((rows, rows.sum(axis=1, keepdims=True)), axis=1)
+        table = np.zeros((out.shape[1], 1))
+        for b in range(out.shape[0]):
+            table = np.concatenate((table, table + out[b, :, None]), axis=1)
+        return table
+
+    k = r.shape[0]
+    low_rows = min(k, 10)
+    low = subset_sums(r[:low_rows])
+    high = subset_sums(r[low_rows:])
+    sums = np.empty_like(low)
+    best = 0.0
+    best_mask = 0
+    for h in range(high.shape[1]):
+        np.add(low, high[:, h, None], out=sums)
+        np.abs(sums, out=sums)
+        twice = sums.sum(axis=0)
+        i = int(np.argmax(twice))
+        if twice[i] > best:
+            best = float(twice[i])
+            best_mask = (h << low_rows) + i
+    h, i = divmod(best_mask, 1 << low_rows)
+    col_sums = low[:, i] + high[:, h]
+    cols = col_sums[:k] > 0.0 if col_sums[k] >= 0.0 else col_sums[:k] < 0.0
+    rows = tuple(b for b in range(k) if (best_mask >> b) & 1)
+    return sk.CutNormWitness(0.5 * best, rows, tuple(int(j) for j in np.nonzero(cols)[0]))
+
+
+def scan_corpus(rng, k, count):
+    """Weighted value matrices r on k blocks: uniform values, integer values
+    on duplicated blocks (exact ties), values scaled by 1e300 and 1e-300, and
+    entries of magnitude 1e-300 mixed with magnitude 1."""
+    for n in range(count):
+        kind = n % 5
+        if kind == 1:
+            base = rng.integers(-2, 3, ((k + 1) // 2, (k + 1) // 2)).astype(np.float64)
+            blocks = np.repeat(np.arange((k + 1) // 2), 2)[:k]
+            values = base[np.ix_(blocks, blocks)]
+        elif kind == 4:
+            values = np.where(rng.random((k, k)) < 0.5, 1e-300, 1.0) * rng.choice([-1.0, 1.0], (k, k))
+        else:
+            values = rng.uniform(-1.0, 1.0, (k, k)) * {0: 1.0, 2: 1e300, 3: 1e-300}[kind]
+        m = rng.integers(1, 4, k) / 1.0
+        m /= m.sum()
+        yield m[:, None] * values * m[None, :]
+
+
+def scores_by_mask(x, low_rows, dtype):
+    """sum_j |c_j| + |c_k| of every row subset of x in mask order, from the
+    subset-sum tables split at low_rows and cast to dtype."""
+    low = sk._subset_sums(x[:low_rows]).astype(dtype)
+    high = sk._subset_sums(x[low_rows:]).astype(dtype)
+    sums = np.empty_like(low)
+    return np.concatenate([sk._subset_scores(low, high, h, sums) for h in range(high.shape[1])])
+
+
+def test_cut_scan_equals_the_frozen_float64_scan():
+    # the float32 screen re-checks in float64 only the rows that may hold a
+    # maximum: the witness is the full scan's, value bits included, ties too
+    rng = np.random.default_rng(31)
+    for k in range(1, 19):
+        for r in scan_corpus(rng, k, 40 if k <= 12 else 20):
+            want = frozen_float64_cut_scan(r)
+            got = sk._cut_scan(r)
+            assert got == want and got.value.hex() == want.value.hex()
+
+
+def test_screen_margin_bounds_float32_rounding_on_every_subset():
+    rng = np.random.default_rng(32)
+    for k in range(1, 13):
+        for r in scan_corpus(rng, k, 30):
+            x = np.ldexp(r, -int(np.frexp(np.abs(r).max())[1]))
+            twice64 = scores_by_mask(x, min(k, sk._CUT_LOW_ROWS), np.float64)
+            twice32 = scores_by_mask(x, min(k, sk._CUT_SCREEN_LOW_ROWS), np.float32)
+            assert np.abs(twice32 - twice64).max() <= sk._screen_margin(x)
+
+
+def test_screen_keeps_a_row_that_float32_ranks_below_the_top():
+    # The row subsets {12} and {13} are the best, with equal exact sums: row
+    # 13 of r holds row 12's entries 1 / (j + 3), rotated and negated.
+    # Rounding puts the float64 maximum at {13}, in screen row 1 (masks from
+    # 2^13 on), which float32 scores below screen row 0, so the screen must
+    # keep the rows within its margin of the top, not the top row alone.
+    assert sk._CUT_SCREEN_LOW_ROWS == 13
+    k = 14
+    a = 1.0 / (np.arange(k) + 3.0)
+    r = np.zeros((k, k))
+    r[12], r[13] = a, -np.roll(a, 3)
+    x = np.ldexp(r, -int(np.frexp(np.abs(r).max())[1]))
+    twice32 = scores_by_mask(x, 13, np.float32)
+    assert twice32[1 << 13:].max() < twice32[:1 << 13].max()
+    assert sk._cut_scan(r) == frozen_float64_cut_scan(r)
+    assert sk._cut_scan(r).row_blocks == (13,)
+
+
 def test_cut_norm_dominated_by_fractional_candidates():
     # the enumerated 0/1 optimum dominates every [0,1]-valued block pair
     rng = np.random.default_rng(8)
